@@ -24,7 +24,7 @@
 //! A simulated delay above a claimed bound is a **soundness violation**
 //! — the one thing this harness exists to flag.
 
-use crate::{paper_tandem, write_metrics_doc};
+use crate::{column, paper_tandem, HarnessOutput};
 use dnc_core::resilient::{ResilientRunner, Tier};
 use dnc_net::{Flow, Network, Server, ServerId};
 use dnc_num::Rat;
@@ -359,22 +359,13 @@ pub fn replay_scenario(cfg: &ChaosConfig, id: usize) -> ScenarioOutcome {
 }
 
 /// Scenario axis for the metrics series.
-const SCENARIO: ColumnMeta = ColumnMeta {
-    label: "scenario",
-    unit: "",
-};
+const SCENARIO: ColumnMeta = column("scenario", "");
 
 /// Fault-count column for the metrics series.
-const FAULTS: ColumnMeta = ColumnMeta {
-    label: "faults",
-    unit: "",
-};
+const FAULTS: ColumnMeta = column("faults", "");
 
 /// Claimed-slack column: `min(bound − observed)` over flows.
-const MIN_SLACK: ColumnMeta = ColumnMeta {
-    label: "min claimed slack",
-    unit: "ticks",
-};
+const MIN_SLACK: ColumnMeta = column("min claimed slack", "ticks");
 
 /// The run as `dnc-metrics/v1` series: one row per scenario.
 pub fn chaos_series(report: &ChaosReport) -> Vec<Series> {
@@ -408,18 +399,21 @@ pub fn chaos_series(report: &ChaosReport) -> Vec<Series> {
     vec![s]
 }
 
-/// Write `results/metrics-chaos.json` for a finished run; returns the
-/// path written.
-pub fn write_chaos_metrics(report: &ChaosReport) -> std::io::Result<std::path::PathBuf> {
-    write_metrics_doc("chaos", chaos_series(report))
-}
-
-/// Write `<dir>/metrics-chaos.json`; returns the path written.
-pub fn write_chaos_metrics_in(
-    dir: &std::path::Path,
-    report: &ChaosReport,
-) -> std::io::Result<std::path::PathBuf> {
-    crate::write_metrics_doc_in(dir, "chaos", chaos_series(report))
+/// `dnc chaos`: the whole sweep, or scenario `replay` of it alone
+/// (bit-exact, written nowhere). Unsound on any violation.
+pub fn harness(cfg: &ChaosConfig, replay: Option<usize>) -> HarnessOutput {
+    match replay {
+        Some(id) => {
+            let outcome = replay_scenario(cfg, id);
+            let text = render_scenario(cfg, &outcome);
+            HarnessOutput::replay("chaos", text, outcome.violations.is_empty())
+        }
+        None => {
+            let report = run_chaos(cfg);
+            let (text, series) = (render_report(&report), chaos_series(&report));
+            HarnessOutput::new("chaos", text, series, report.violation_count() == 0)
+        }
+    }
 }
 
 /// Column header shared by the full report and single-scenario replay.
@@ -646,13 +640,7 @@ mod tests {
             seed: 5,
             ticks: 256,
         });
-        let mut doc = dnc_telemetry::export::MetricsDoc::new(
-            "chaos-test",
-            dnc_telemetry::Snapshot::default(),
-        );
-        doc.series = chaos_series(&report);
-        let json = dnc_telemetry::export::metrics_json(&doc);
-        dnc_telemetry::schema::validate_metrics(&json).unwrap();
+        crate::validated_json(chaos_series(&report));
         let text = render_report(&report);
         assert!(text.contains("3 scenarios"), "{text}");
     }

@@ -21,17 +21,18 @@
 //! harness, so `--seq K` of a master seed replays alone, bit-exact.
 
 use crate::chaos::scenario_rng;
-use crate::{paper_tandem, write_metrics_doc};
+use crate::{paper_tandem, HarnessOutput};
 use dnc_core::admission::certify;
 use dnc_core::integrated::Integrated;
 use dnc_net::{Network, ServerId};
 use dnc_num::Rat;
+use dnc_service::fs::ScratchDir;
 use dnc_service::journal::replay;
 use dnc_service::{AdmitRequest, ChurnEngine, EngineConfig, Op, Request, Response};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Knobs of a churn run.
 #[derive(Clone, Debug)]
@@ -154,8 +155,9 @@ fn draw_admit(rng: &mut StdRng, seq: usize, k: usize, servers: usize) -> Request
 
 /// Fold a committed-operation prefix into the canonical state string by
 /// plain list arithmetic — deliberately *not* the engine's replay code,
-/// so the durability falsifier has an independent oracle.
-fn expected_state(base_flows: usize, ops: &[Op]) -> String {
+/// so the durability falsifiers (churn and torture) have an independent
+/// oracle.
+pub(crate) fn expected_state(base_flows: usize, ops: &[Op]) -> String {
     let mut admitted: Vec<&dnc_service::AdmitOp> = Vec::new();
     for op in ops {
         match op {
@@ -452,25 +454,14 @@ pub fn run_sequence(seq: usize, cfg: &ChurnConfig, dir: &Path) -> SequenceOutcom
     }
 }
 
-/// Scratch directory for one run's journals — unique per run so
-/// concurrent runs (parallel tests, most often) never share or delete
-/// each other's journals.
-fn scratch_dir(seed: u64) -> PathBuf {
-    static RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let run = RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("dnc_churn_{}_{seed}_{run}", std::process::id()))
-}
-
 /// Run the whole harness. Deterministic in `cfg` (journals live in a
-/// scratch directory and are removed as each sequence finishes).
+/// private scratch directory, removed when the run ends).
 pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
     let _span = dnc_telemetry::span("churn.run");
-    let dir = scratch_dir(cfg.seed);
-    let _ = std::fs::create_dir_all(&dir);
+    let dir = ScratchDir::new("churn");
     let outcomes = (0..cfg.seqs)
         .map(|seq| run_sequence(seq, cfg, &dir))
         .collect();
-    let _ = std::fs::remove_dir_all(&dir);
     ChurnReport {
         cfg: cfg.clone(),
         outcomes,
@@ -479,57 +470,43 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
 
 /// Replay one sequence of the run `cfg` describes, alone and bit-exact.
 pub fn replay_sequence(cfg: &ChurnConfig, seq: usize) -> SequenceOutcome {
-    let dir = scratch_dir(cfg.seed);
-    let _ = std::fs::create_dir_all(&dir);
-    let outcome = run_sequence(seq, cfg, &dir);
-    let _ = std::fs::remove_dir_all(&dir);
-    outcome
+    run_sequence(seq, cfg, &ScratchDir::new("churn"))
+}
+
+/// `dnc churn`: the whole sweep, or sequence `replay` of it alone
+/// (bit-exact, written nowhere). Unsound when either falsifier fires.
+pub fn harness(cfg: &ChurnConfig, replay: Option<usize>) -> HarnessOutput {
+    match replay {
+        Some(seq) => {
+            let report = ChurnReport {
+                cfg: cfg.clone(),
+                outcomes: vec![replay_sequence(cfg, seq)],
+            };
+            HarnessOutput::replay("churn", render_report(&report), report.sound())
+        }
+        None => {
+            let report = run_churn(cfg);
+            let (text, sound) = (render_report(&report), report.sound());
+            HarnessOutput::new("churn", text, churn_series(&report), sound)
+        }
+    }
 }
 
 /// The run as `dnc-metrics/v1` series: one row per sequence.
 pub fn churn_series(report: &ChurnReport) -> Vec<dnc_telemetry::export::Series> {
+    use crate::column;
     use dnc_telemetry::export::{Cell, Series};
     use dnc_telemetry::schema::{self, ColumnMeta};
-    const SEQ: ColumnMeta = ColumnMeta {
-        label: "sequence",
-        unit: "",
-    };
-    const COMMITS: ColumnMeta = ColumnMeta {
-        label: "commits",
-        unit: "",
-    };
-    const ROLLBACKS: ColumnMeta = ColumnMeta {
-        label: "rollbacks",
-        unit: "",
-    };
-    const LIVE: ColumnMeta = ColumnMeta {
-        label: "live connections",
-        unit: "",
-    };
-    const CERT_CHECKS: ColumnMeta = ColumnMeta {
-        label: "independent re-certifications",
-        unit: "",
-    };
-    const VIOLATIONS: ColumnMeta = ColumnMeta {
-        label: "certification violations",
-        unit: "",
-    };
-    const RECOVERIES: ColumnMeta = ColumnMeta {
-        label: "kill-point recoveries",
-        unit: "",
-    };
-    const RECOVERY_FAILURES: ColumnMeta = ColumnMeta {
-        label: "recovery failures",
-        unit: "",
-    };
-    const JOURNAL_BYTES: ColumnMeta = ColumnMeta {
-        label: "journal bytes",
-        unit: "B",
-    };
-    const TAIL_REPLAYED: ColumnMeta = ColumnMeta {
-        label: "tail ops replayed",
-        unit: "",
-    };
+    const SEQ: ColumnMeta = column("sequence", "");
+    const COMMITS: ColumnMeta = column("commits", "");
+    const ROLLBACKS: ColumnMeta = column("rollbacks", "");
+    const LIVE: ColumnMeta = column("live connections", "");
+    const CERT_CHECKS: ColumnMeta = column("independent re-certifications", "");
+    const VIOLATIONS: ColumnMeta = column("certification violations", "");
+    const RECOVERIES: ColumnMeta = column("kill-point recoveries", "");
+    const RECOVERY_FAILURES: ColumnMeta = column("recovery failures", "");
+    const JOURNAL_BYTES: ColumnMeta = column("journal bytes", "B");
+    const TAIL_REPLAYED: ColumnMeta = column("tail ops replayed", "");
     let mut s = Series::new(
         "churn",
         vec![
@@ -564,20 +541,6 @@ pub fn churn_series(report: &ChurnReport) -> Vec<dnc_telemetry::export::Series> 
         ]);
     }
     vec![s]
-}
-
-/// Write `results/metrics-churn.json` for a finished run; returns the
-/// path written.
-pub fn write_churn_metrics(report: &ChurnReport) -> std::io::Result<std::path::PathBuf> {
-    write_metrics_doc("churn", churn_series(report))
-}
-
-/// Write `<dir>/metrics-churn.json`; returns the path written.
-pub fn write_churn_metrics_in(
-    dir: &std::path::Path,
-    report: &ChurnReport,
-) -> std::io::Result<std::path::PathBuf> {
-    crate::write_metrics_doc_in(dir, "churn", churn_series(report))
 }
 
 /// Render the run as a fixed-width text report.
@@ -712,13 +675,7 @@ mod tests {
             workers: 1,
             snapshot_every: None,
         });
-        let mut doc = dnc_telemetry::export::MetricsDoc::new(
-            "churn-test",
-            dnc_telemetry::Snapshot::default(),
-        );
-        doc.series = churn_series(&report);
-        let json = dnc_telemetry::export::metrics_json(&doc);
-        dnc_telemetry::schema::validate_metrics(&json).unwrap();
+        crate::validated_json(churn_series(&report));
         let text = render_report(&report);
         assert!(text.contains("1 sequences"), "{text}");
     }

@@ -1,6 +1,6 @@
 //! Zero-dependency static status dashboard for the perf trajectory.
 //!
-//! `cargo xtask bench --dashboard <dir>` renders everything offline
+//! `dnc bench --dashboard <dir>` renders everything offline
 //! from the parsed `BENCH_*.json` trajectories: one hand-rolled
 //! `index.html` (no scripts, no external assets) with a regression
 //! status banner, a latest-run summary table per trajectory, and one
@@ -214,8 +214,7 @@ mod tests {
         let records: Vec<BenchRecord> = [100.0, 104.0, 300.0].iter().map(|&v| record(v)).collect();
         let gate = evaluate_gate(&records, &GateConfig::default());
         assert!(gate.regressed());
-        let dir = std::env::temp_dir().join(format!("dnc_dashboard_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = dnc_service::fs::ScratchDir::new("dashboard");
         let index = render_dashboard(
             &dir,
             &[Panel {
@@ -230,6 +229,5 @@ mod tests {
         assert!(html.contains("t.wall_us"));
         assert!(html.contains("<svg"), "charts inlined");
         assert!(dir.join("throughput-t-wall-us.svg").exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

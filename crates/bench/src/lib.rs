@@ -2,10 +2,27 @@
 
 //! # dnc-bench — harness regenerating the paper's evaluation
 //!
-//! Shared machinery for the figure-regeneration binaries (`fig4`, `fig5`,
-//! `fig6`, `validate`, `admission`) and the Criterion benches: tandem
-//! parameter sweeps over network size `n` and work load `U = 4ρ`,
-//! parallelized with crossbeam, plus small CSV/table writers.
+//! Every harness is a library function shaped the same way: a config
+//! goes in, a report comes out, and the report renders as text, as
+//! `dnc-metrics/v1` series, and as a soundness verdict, bundled in a
+//! [`HarnessOutput`]. The `dnc` CLI is the one entry point: each
+//! harness is a `dnc <name>` command that prints the text, writes the
+//! files under `--out-dir` (default `results/`), and exits 1 when the
+//! run is unsound.
+//!
+//! | command | module | what it checks or regenerates |
+//! |---------|--------|-------------------------------|
+//! | `dnc figure <4\|5\|6>`, `modern`, `validate`, `admission`, `tightness`, `disciplines` | [`experiments`] | the paper's figures and our extensions of its evaluation |
+//! | `dnc chaos` | [`chaos`] | bounds under injected faults |
+//! | `dnc churn` | [`churn`] | online admission and crash recovery |
+//! | `dnc torture` | [`torture`] | recovery from storage faults |
+//! | `dnc socket` | [`socket`] | group commit vs per-op fsync |
+//! | `dnc throughput` | [`throughput`] | incremental vs from-scratch certification |
+//! | `dnc bench` | [`runner`] | the perf trajectory |
+//!
+//! The shared machinery here serves them and the Criterion benches:
+//! tandem parameter sweeps over network size `n` and work load
+//! `U = 4ρ`, parallelized with crossbeam, plus small CSV/table writers.
 //!
 //! The paper's evaluation reports, for Connection 0 of the tandem
 //! network:
@@ -24,6 +41,7 @@ pub mod chart;
 pub mod churn;
 pub mod dashboard;
 pub mod exit;
+pub mod experiments;
 pub mod profile;
 pub mod runner;
 pub mod socket;
@@ -37,8 +55,10 @@ use dnc_core::{
 };
 use dnc_net::builders::{tandem, Tandem, TandemOptions};
 use dnc_num::Rat;
-use std::io::Write;
-use std::path::Path;
+use dnc_telemetry::export::Series;
+use dnc_telemetry::schema::ColumnMeta;
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 /// The three algorithms under comparison, as a sendable enum (the benches
 /// fan sweeps out across threads).
@@ -146,50 +166,45 @@ pub fn relative_improvement(dx: Rat, dy: Rat) -> Rat {
     }
 }
 
-/// Write sweep results as CSV: one row per `(n, U)`, a `bound_<algo>`
+/// Sweep results as CSV: one row per `(n, U)`, a `bound_<algo>`
 /// column per algorithm, plus `R_first_second` when two algorithms are
 /// present (the paper's pairing convention: `R_{X,Y}` with `X` the first
 /// algorithm).
-pub fn write_csv(path: &Path, points: &[SweepPoint], algos: &[Algo]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write!(out, "n,u")?;
+pub fn sweep_csv(points: &[SweepPoint], algos: &[Algo]) -> String {
+    let mut out = String::from("n,u");
     for a in algos {
-        write!(out, ",bound_{}", a.label())?;
+        let _ = write!(out, ",bound_{}", a.label());
     }
-    if algos.len() == 2 {
-        writeln!(out, ",rel_improvement")?;
+    out.push_str(if algos.len() == 2 {
+        ",rel_improvement\n"
     } else {
-        writeln!(out)?;
-    }
+        "\n"
+    });
     for p in points {
-        write!(out, "{},{:.4}", p.n, p.u.to_f64())?;
+        let _ = write!(out, "{},{:.4}", p.n, p.u.to_f64());
         for b in &p.bounds {
             match b {
-                Some(v) => write!(out, ",{:.6}", v.to_f64())?,
-                None => write!(out, ",inf")?,
+                Some(v) => {
+                    let _ = write!(out, ",{:.6}", v.to_f64());
+                }
+                None => out.push_str(",inf"),
             }
         }
         if algos.len() == 2 {
-            match (&p.bounds[0], &p.bounds[1]) {
-                (Some(x), Some(y)) => {
-                    writeln!(out, ",{:.6}", relative_improvement(*x, *y).to_f64())?
-                }
-                _ => writeln!(out, ",")?,
+            if let (Some(x), Some(y)) = (&p.bounds[0], &p.bounds[1]) {
+                let _ = write!(out, ",{:.6}", relative_improvement(*x, *y).to_f64());
+            } else {
+                out.push(',');
             }
-        } else {
-            writeln!(out)?;
         }
+        out.push('\n');
     }
-    out.flush()
+    out
 }
 
 /// Render a sweep as a fixed-width text table (one block per `n`),
 /// mirroring the series the paper plots.
 pub fn render_table(points: &[SweepPoint], algos: &[Algo]) -> String {
-    use std::fmt::Write as _;
     let mut s = String::new();
     let mut ns: Vec<usize> = points.iter().map(|p| p.n).collect();
     ns.sort_unstable();
@@ -226,14 +241,6 @@ pub fn render_table(points: &[SweepPoint], algos: &[Algo]) -> String {
         let _ = writeln!(s);
     }
     s
-}
-
-/// Default output directory for the figure binaries (`results/`),
-/// honouring `DNC_RESULTS_DIR`.
-pub fn results_dir() -> std::path::PathBuf {
-    std::env::var_os("DNC_RESULTS_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("results"))
 }
 
 /// Sweep results as `dnc-metrics/v1` series: a long-format `bounds`
@@ -283,36 +290,100 @@ pub fn sweep_series(points: &[SweepPoint], algos: &[Algo]) -> Vec<dnc_telemetry:
     out
 }
 
+/// Metadata of a harness's own `dnc-metrics/v1` series column.
+pub const fn column(label: &'static str, unit: &'static str) -> ColumnMeta {
+    ColumnMeta { label, unit }
+}
+
 /// Write `<dir>/metrics-<name>.json`: the given series wrapped around
 /// whatever the telemetry registry aggregated since the last reset (an
 /// empty snapshot in builds without `--features telemetry`). Returns the
 /// path written.
-pub fn write_metrics_doc_in(
-    dir: &Path,
-    name: &str,
-    series: Vec<dnc_telemetry::export::Series>,
-) -> std::io::Result<std::path::PathBuf> {
+pub fn write_metrics_doc(dir: &Path, name: &str, series: Vec<Series>) -> std::io::Result<PathBuf> {
+    let telemetry = if dnc_telemetry::enabled() {
+        "on"
+    } else {
+        "off"
+    };
     let mut doc = dnc_telemetry::export::MetricsDoc::new(name, dnc_telemetry::snapshot())
-        .with_meta(
-            "telemetry",
-            if dnc_telemetry::enabled() {
-                "on"
-            } else {
-                "off"
-            },
-        );
+        .with_meta("telemetry", telemetry);
     doc.series = series;
     let path = dir.join(format!("metrics-{name}.json"));
     dnc_telemetry::export::write_metrics(&doc, &path)?;
     Ok(path)
 }
 
-/// [`write_metrics_doc_in`] into the default [`results_dir`].
-pub fn write_metrics_doc(
-    name: &str,
-    series: Vec<dnc_telemetry::export::Series>,
-) -> std::io::Result<std::path::PathBuf> {
-    write_metrics_doc_in(&results_dir(), name, series)
+/// One harness run as `dnc <harness>` emits it: the report text, its
+/// `dnc-metrics/v1` series, the CSV/SVG files written beside them, and
+/// the soundness verdict.
+#[derive(Clone, Debug)]
+pub struct HarnessOutput {
+    /// Names the metrics document `metrics-<name>.json`.
+    pub name: &'static str,
+    /// The human-readable report.
+    pub text: String,
+    /// The metrics series; `None` for a single-case replay, which
+    /// writes no metrics document.
+    pub series: Option<Vec<Series>>,
+    /// Files written beside the metrics document, `(file name, body)`.
+    pub files: Vec<(String, String)>,
+    /// False when a falsifier fired or a built-in check failed.
+    pub sound: bool,
+}
+
+impl HarnessOutput {
+    /// A run whose only file is its metrics document.
+    pub fn new(name: &'static str, text: String, series: Vec<Series>, sound: bool) -> Self {
+        HarnessOutput {
+            name,
+            text,
+            series: Some(series),
+            files: Vec::new(),
+            sound,
+        }
+    }
+
+    /// A single-case replay: printed, never written.
+    pub fn replay(name: &'static str, text: String, sound: bool) -> Self {
+        let out = HarnessOutput::new(name, text, Vec::new(), sound);
+        HarnessOutput {
+            series: None,
+            ..out
+        }
+    }
+
+    /// Add a file to write beside the metrics document.
+    pub fn with_file(mut self, name: String, body: String) -> Self {
+        self.files.push((name, body));
+        self
+    }
+
+    /// Write the files, then the metrics document, under `dir`; returns
+    /// the paths in write order.
+    pub fn write(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+        let mut written = Vec::new();
+        for (name, body) in &self.files {
+            std::fs::create_dir_all(dir)?;
+            let path = dir.join(name);
+            std::fs::write(&path, body)?;
+            written.push(path);
+        }
+        if let Some(series) = &self.series {
+            written.push(write_metrics_doc(dir, self.name, series.clone())?);
+        }
+        Ok(written)
+    }
+}
+
+/// Validate `series` as a `dnc-metrics/v1` document; returns its JSON.
+#[cfg(test)]
+pub(crate) fn validated_json(series: Vec<Series>) -> String {
+    let mut doc =
+        dnc_telemetry::export::MetricsDoc::new("test", dnc_telemetry::Snapshot::default());
+    doc.series = series;
+    let json = dnc_telemetry::export::metrics_json(&doc);
+    dnc_telemetry::schema::validate_metrics(&json).unwrap();
+    json
 }
 
 #[cfg(test)]
@@ -345,25 +416,17 @@ mod tests {
         assert_eq!(series.len(), 2, "bounds + rel_improvement");
         assert_eq!(series[0].rows.len(), 4, "one row per (n, U, algorithm)");
         assert_eq!(series[1].rows.len(), 2, "one row per (n, U)");
-        let mut doc = dnc_telemetry::export::MetricsDoc::new(
-            "test-sweep",
-            dnc_telemetry::Snapshot::default(),
-        );
-        doc.series = series;
-        let json = dnc_telemetry::export::metrics_json(&doc);
-        dnc_telemetry::schema::validate_metrics(&json).unwrap();
+        let json = crate::validated_json(series);
         assert!(json.contains("\"decomposed\""));
         assert!(json.contains("relative improvement"));
     }
 
     #[test]
     fn metrics_doc_written_to_results_dir() {
-        let dir = std::env::temp_dir().join(format!("dnc_bench_metrics_{}", std::process::id()));
-        std::env::set_var("DNC_RESULTS_DIR", &dir);
+        let dir = dnc_service::fs::ScratchDir::new("bench-metrics");
         let algos = [Algo::Decomposed];
         let pts = sweep(&[2], &[rat(1, 2)], &algos, 1);
-        let path = write_metrics_doc("smoke", sweep_series(&pts, &algos)).unwrap();
-        std::env::remove_var("DNC_RESULTS_DIR");
+        let path = write_metrics_doc(&dir, "smoke", sweep_series(&pts, &algos)).unwrap();
         assert!(path.ends_with("metrics-smoke.json"), "{path:?}");
         let json = std::fs::read_to_string(&path).unwrap();
         dnc_telemetry::schema::validate_metrics(&json).unwrap();
@@ -371,13 +434,19 @@ mod tests {
 
     #[test]
     fn table_and_csv_smoke() {
-        let pts = sweep(&[2], &[rat(1, 2)], &[Algo::Decomposed, Algo::Integrated], 1);
-        let table = render_table(&pts, &[Algo::Decomposed, Algo::Integrated]);
+        let algos = [Algo::Decomposed, Algo::Integrated];
+        let pts = sweep(&[2], &[rat(1, 2)], &algos, 1);
+        let table = render_table(&pts, &algos);
         assert!(table.contains("n = 2"));
-        let dir = std::env::temp_dir().join("dnc_bench_test");
-        let path = dir.join("smoke.csv");
-        write_csv(&path, &pts, &[Algo::Decomposed, Algo::Integrated]).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
+        let out = HarnessOutput::new("smoke", table, sweep_series(&pts, &algos), true)
+            .with_file("smoke.csv".to_string(), sweep_csv(&pts, &algos));
+        let dir = dnc_service::fs::ScratchDir::new("bench-csv");
+        let written = out.write(&dir).unwrap();
+        assert_eq!(
+            written,
+            [dir.join("smoke.csv"), dir.join("metrics-smoke.json")]
+        );
+        let content = std::fs::read_to_string(&written[0]).unwrap();
         assert!(content.starts_with("n,u,bound_decomposed,bound_integrated,rel_improvement"));
         assert_eq!(content.lines().count(), 2);
     }

@@ -1,5 +1,5 @@
 //! Profile harness as a library: wall-time one analysis of the paper
-//! tandem per algorithm, so `cargo xtask bench` can fold algorithm-level
+//! tandem per algorithm, so `dnc bench` can fold algorithm-level
 //! cost into the perf trajectory alongside the engine-level throughput
 //! numbers. `dnc profile` remains the interactive variant over arbitrary
 //! scenario files; this one is deliberately pinned to [`paper_tandem`]
@@ -122,13 +122,7 @@ mod tests {
             repeats: 1,
             ..ProfileConfig::default()
         });
-        let mut doc = dnc_telemetry::export::MetricsDoc::new(
-            "profile-test",
-            dnc_telemetry::Snapshot::default(),
-        );
-        doc.series = profile_series(&report);
-        let json = dnc_telemetry::export::metrics_json(&doc);
-        dnc_telemetry::schema::validate_metrics(&json).unwrap();
+        crate::validated_json(profile_series(&report));
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! archive their raw `dnc-metrics/v1` outputs, and append one
 //! `dnc-bench/v1` record per trajectory.
 //!
-//! `run_bench` is the engine behind both `cargo xtask bench` and
-//! `dnc bench`. One invocation:
+//! `run_bench` is the engine behind `dnc bench`. One invocation:
 //!
 //! 1. runs throughput + profile inside one telemetry window and
 //!    chaos + churn inside a second,
@@ -25,7 +24,7 @@ use crate::trajectory::{
     append_record, evaluate_gate, load_trajectory, render_gate_table, resolve_stamp, BenchRecord,
     GateConfig, GateReport, Stamp,
 };
-use crate::{chaos, churn, profile, socket, throughput};
+use crate::{chaos, churn, profile, socket, throughput, write_metrics_doc};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -247,13 +246,13 @@ pub fn run_bench(opts: &BenchOptions) -> std::io::Result<BenchSummary> {
     let prof = profile::run_profile(&pcfg);
     let sock = socket::run_socket(&scfg);
     let snap1 = dnc_telemetry::snapshot();
-    check_archived(&throughput::write_throughput_metrics_in(&archive_dir, &tp)?)?;
-    check_archived(&crate::write_metrics_doc_in(
-        &archive_dir,
-        "profile",
-        profile::profile_series(&prof),
-    )?)?;
-    check_archived(&socket::write_socket_metrics_in(&archive_dir, &sock)?)?;
+    for (name, series) in [
+        ("throughput", throughput::throughput_series(&tp)),
+        ("profile", profile::profile_series(&prof)),
+        ("socket", socket::socket_series(&sock)),
+    ] {
+        check_archived(&write_metrics_doc(&archive_dir, name, series)?)?;
+    }
 
     if !tp.sound() {
         failures.push(format!(
@@ -355,8 +354,12 @@ pub fn run_bench(opts: &BenchOptions) -> std::io::Result<BenchSummary> {
     let chaos_rep = chaos::run_chaos(&ccfg);
     let churn_rep = churn::run_churn(&ucfg);
     let snap2 = dnc_telemetry::snapshot();
-    check_archived(&chaos::write_chaos_metrics_in(&archive_dir, &chaos_rep)?)?;
-    check_archived(&churn::write_churn_metrics_in(&archive_dir, &churn_rep)?)?;
+    for (name, series) in [
+        ("chaos", chaos::chaos_series(&chaos_rep)),
+        ("churn", churn::churn_series(&churn_rep)),
+    ] {
+        check_archived(&write_metrics_doc(&archive_dir, name, series)?)?;
+    }
 
     if chaos_rep.violation_count() > 0 {
         failures.push(format!(
@@ -557,19 +560,14 @@ mod tests {
         }
     }
 
-    fn scratch(label: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("dnc_runner_{label}_{}", std::process::id()))
-    }
-
     #[test]
     fn quick_run_appends_valid_records_and_archives() {
-        let root = scratch("append");
-        let _ = std::fs::remove_dir_all(&root);
+        let root = dnc_service::fs::ScratchDir::new("runner");
         let opts = BenchOptions {
             quick: true,
             seed: 3,
             out_dir: root.join("results"),
-            bench_dir: root.clone(),
+            bench_dir: root.to_path_buf(),
             stamp: Some(test_stamp()),
             dashboard: Some(root.join("dashboard")),
             ..BenchOptions::default()
@@ -618,7 +616,6 @@ mod tests {
         let records = load_trajectory(&summary2.trajectory_paths[0]).unwrap();
         assert_eq!(records.len(), 2, "append-only trajectory");
         assert_eq!(summary2.gates[0].1.priors, 1);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //! harness already covers.
 
 use crate::trajectory::time_micros;
+use crate::HarnessOutput;
 use dnc_net::{Network, Server};
+use dnc_num::Rat;
+use dnc_service::fs::ScratchDir;
 use dnc_service::server::{self, ServerConfig};
 use dnc_service::{ChurnEngine, EngineConfig, Journal, Op, Request, Response};
 use std::fmt::Write as _;
@@ -202,7 +205,6 @@ fn run_mode(
     wal: PathBuf,
 ) -> (SocketOutcome, Vec<String>) {
     let mut mismatches = Vec::new();
-    let _ = std::fs::remove_file(&wal);
     let (engine, _) = ChurnEngine::open(tiny_net(), Vec::new(), EngineConfig::default(), &wal)
         .expect("fresh journal on a tiny base opens");
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener binds");
@@ -288,7 +290,6 @@ fn run_mode(
             served.state_digest()
         ));
     }
-    let _ = std::fs::remove_file(&wal);
 
     let secs = wall_us.max(1) as f64 / 1_000_000.0;
     (
@@ -306,15 +307,11 @@ fn run_mode(
 /// Run both commit modes over the same workload and cross-check them.
 pub fn run_socket(cfg: &SocketConfig) -> SocketReport {
     let _span = dnc_telemetry::span("socket.run");
-    let dir = std::env::temp_dir();
+    let dir = ScratchDir::new("socket");
     let mut modes = Vec::new();
     let mut mismatches = Vec::new();
     for (label, batch) in [("per-op", 1), ("grouped", cfg.batch.max(2))] {
-        let wal = dir.join(format!(
-            "dnc_socket_bench_{}_{label}.wal",
-            std::process::id()
-        ));
-        let (outcome, problems) = run_mode(label, batch, cfg, wal);
+        let (outcome, problems) = run_mode(label, batch, cfg, dir.join(format!("{label}.wal")));
         mismatches.extend(problems);
         modes.push(outcome);
     }
@@ -336,36 +333,16 @@ pub fn run_socket(cfg: &SocketConfig) -> SocketReport {
 
 /// The run as `dnc-metrics/v1` series: one row per commit mode.
 pub fn socket_series(report: &SocketReport) -> Vec<dnc_telemetry::export::Series> {
+    use crate::column;
     use dnc_telemetry::export::{Cell, Series};
     use dnc_telemetry::schema::ColumnMeta;
-    const MODE: ColumnMeta = ColumnMeta {
-        label: "mode",
-        unit: "",
-    };
-    const CLIENTS: ColumnMeta = ColumnMeta {
-        label: "clients",
-        unit: "",
-    };
-    const ACKED: ColumnMeta = ColumnMeta {
-        label: "acknowledged ops",
-        unit: "",
-    };
-    const GROUPS: ColumnMeta = ColumnMeta {
-        label: "group commits",
-        unit: "",
-    };
-    const WALL: ColumnMeta = ColumnMeta {
-        label: "slowest client wall",
-        unit: "us",
-    };
-    const RATE: ColumnMeta = ColumnMeta {
-        label: "acks per second",
-        unit: "1/s",
-    };
-    const MISMATCHES: ColumnMeta = ColumnMeta {
-        label: "soundness mismatches",
-        unit: "",
-    };
+    const MODE: ColumnMeta = column("mode", "");
+    const CLIENTS: ColumnMeta = column("clients", "");
+    const ACKED: ColumnMeta = column("acknowledged ops", "");
+    const GROUPS: ColumnMeta = column("group commits", "");
+    const WALL: ColumnMeta = column("slowest client wall", "us");
+    const RATE: ColumnMeta = column("acks per second", "1/s");
+    const MISMATCHES: ColumnMeta = column("soundness mismatches", "");
     let mut s = Series::new(
         "socket",
         vec![MODE, CLIENTS, ACKED, GROUPS, WALL, RATE, MISMATCHES],
@@ -384,12 +361,23 @@ pub fn socket_series(report: &SocketReport) -> Vec<dnc_telemetry::export::Series
     vec![s]
 }
 
-/// Write `<dir>/metrics-socket.json`; returns the path written.
-pub fn write_socket_metrics_in(
-    dir: &std::path::Path,
-    report: &SocketReport,
-) -> std::io::Result<std::path::PathBuf> {
-    crate::write_metrics_doc_in(dir, "socket", socket_series(report))
+/// `dnc socket`: run both commit modes. Unsound on any soundness
+/// mismatch, or — with `check` — when group commit reaches less than
+/// `check` times the per-op acks/sec.
+pub fn harness(cfg: &SocketConfig, check: Option<Rat>) -> HarnessOutput {
+    let report = run_socket(cfg);
+    let mut text = render_report(&report);
+    let mut sound = report.sound();
+    let speedup = report.speedup();
+    if let Some(want) = check
+        .map(|x| x.to_f64())
+        .filter(|&want| sound && speedup < want)
+    {
+        let got = format!("group commit reached {speedup:.2}x of per-op fsync");
+        let _ = writeln!(text, "check failed: {got} (wanted >= {want:.2}x)");
+        sound = false;
+    }
+    HarnessOutput::new("socket", text, socket_series(&report), sound)
 }
 
 /// Render the run as a fixed-width text report.
@@ -466,13 +454,7 @@ mod tests {
             batch: 4,
             seed: 7,
         });
-        let mut doc = dnc_telemetry::export::MetricsDoc::new(
-            "socket-test",
-            dnc_telemetry::Snapshot::default(),
-        );
-        doc.series = socket_series(&report);
-        let json = dnc_telemetry::export::metrics_json(&doc);
-        dnc_telemetry::schema::validate_metrics(&json).unwrap();
+        crate::validated_json(socket_series(&report));
         assert!(render_report(&report).contains("per-op"));
     }
 }

@@ -29,7 +29,7 @@
 //! the answers are bit-identical.
 
 use crate::chaos::scenario_rng;
-use crate::{paper_tandem, write_metrics_doc};
+use crate::{paper_tandem, HarnessOutput};
 use dnc_core::cache::AnalysisCache;
 use dnc_num::Rat;
 use dnc_service::{AdmitRequest, ChurnEngine, EngineConfig, Request, Response};
@@ -281,32 +281,15 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
 
 /// The run as `dnc-metrics/v1` series: one row per mode.
 pub fn throughput_series(report: &ThroughputReport) -> Vec<dnc_telemetry::export::Series> {
+    use crate::column;
     use dnc_telemetry::export::{Cell, Series};
     use dnc_telemetry::schema::{self, ColumnMeta};
-    const MODE: ColumnMeta = ColumnMeta {
-        label: "mode",
-        unit: "",
-    };
-    const COMMITS: ColumnMeta = ColumnMeta {
-        label: "commits",
-        unit: "",
-    };
-    const ROLLBACKS: ColumnMeta = ColumnMeta {
-        label: "rollbacks",
-        unit: "",
-    };
-    const WALL: ColumnMeta = ColumnMeta {
-        label: "wall time",
-        unit: "us",
-    };
-    const RATE: ColumnMeta = ColumnMeta {
-        label: "admissions per second",
-        unit: "1/s",
-    };
-    const MISMATCHES: ColumnMeta = ColumnMeta {
-        label: "cross-mode mismatches",
-        unit: "",
-    };
+    const MODE: ColumnMeta = column("mode", "");
+    const COMMITS: ColumnMeta = column("commits", "");
+    const ROLLBACKS: ColumnMeta = column("rollbacks", "");
+    const WALL: ColumnMeta = column("wall time", "us");
+    const RATE: ColumnMeta = column("admissions per second", "1/s");
+    const MISMATCHES: ColumnMeta = column("cross-mode mismatches", "");
     let mut s = Series::new(
         "throughput",
         vec![
@@ -335,17 +318,22 @@ pub fn throughput_series(report: &ThroughputReport) -> Vec<dnc_telemetry::export
     vec![s]
 }
 
-/// Write `results/metrics-throughput.json`; returns the path written.
-pub fn write_throughput_metrics(report: &ThroughputReport) -> std::io::Result<std::path::PathBuf> {
-    write_metrics_doc("throughput", throughput_series(report))
-}
-
-/// Write `<dir>/metrics-throughput.json`; returns the path written.
-pub fn write_throughput_metrics_in(
-    dir: &std::path::Path,
-    report: &ThroughputReport,
-) -> std::io::Result<std::path::PathBuf> {
-    crate::write_metrics_doc_in(dir, "throughput", throughput_series(report))
+/// `dnc throughput`: run all three modes. Unsound on any cross-mode
+/// mismatch, or — with `check` — when the incremental fast path falls
+/// below the from-scratch sequential admissions/sec.
+pub fn harness(cfg: &ThroughputConfig, check: bool) -> HarnessOutput {
+    let report = run_throughput(cfg);
+    let mut text = render_report(&report);
+    let mut sound = report.sound();
+    if sound && check && report.speedup() < 1.0 {
+        let _ = writeln!(
+            text,
+            "check failed: incremental fast path slower than from-scratch sequential ({:.2}x)",
+            report.speedup()
+        );
+        sound = false;
+    }
+    HarnessOutput::new("throughput", text, throughput_series(&report), sound)
 }
 
 /// Render the run as a fixed-width text report.
@@ -445,13 +433,7 @@ mod tests {
             workers: 2,
             ..ThroughputConfig::default()
         });
-        let mut doc = dnc_telemetry::export::MetricsDoc::new(
-            "throughput-test",
-            dnc_telemetry::Snapshot::default(),
-        );
-        doc.series = throughput_series(&report);
-        let json = dnc_telemetry::export::metrics_json(&doc);
-        dnc_telemetry::schema::validate_metrics(&json).unwrap();
+        crate::validated_json(throughput_series(&report));
         let text = render_report(&report);
         assert!(text.contains("scratch-seq"), "{text}");
     }

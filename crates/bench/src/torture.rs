@@ -28,9 +28,11 @@
 //! sweep is a pure function of its config.
 
 use crate::chaos::scenario_rng;
-use crate::paper_tandem;
+use crate::churn::expected_state;
+use crate::{paper_tandem, HarnessOutput};
 use dnc_net::{Network, ServerId};
 use dnc_num::Rat;
+use dnc_service::fs::ScratchDir;
 use dnc_service::{
     AdmitOp, AdmitRequest, ChurnEngine, EngineConfig, FaultFs, Op, Request, StorageHandle,
     FAULT_KINDS,
@@ -38,7 +40,7 @@ use dnc_service::{
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Knobs of a torture sweep.
@@ -195,29 +197,6 @@ fn flatten(schedule: &[Step]) -> Vec<Op> {
     ops
 }
 
-/// Fold a committed prefix into the canonical state string by plain
-/// list arithmetic — deliberately *not* the engine's replay code, so
-/// the falsifier has an independent oracle.
-fn fold_state(base_flows: usize, ops: &[Op]) -> String {
-    let mut admitted: Vec<&AdmitOp> = Vec::new();
-    for op in ops {
-        match op {
-            Op::Admit(a) => admitted.push(a),
-            Op::Release { name } => {
-                if let Some(i) = admitted.iter().position(|a| a.name == *name) {
-                    admitted.remove(i);
-                }
-            }
-        }
-    }
-    let mut s = format!("base {base_flows}\n");
-    for a in admitted {
-        s.push_str(&Op::Admit((*a).clone()).encode());
-        s.push('\n');
-    }
-    s
-}
-
 fn engine_cfg(cfg: &TortureConfig) -> EngineConfig {
     EngineConfig {
         snapshot_every: Some(cfg.snapshot_every.max(1)),
@@ -315,7 +294,7 @@ fn check_recovery(
                 recoveries += 1;
                 let state = engine.canonical_state();
                 let matched = (acked..=hi).find(|&k| {
-                    fold_state(base_flows, &ops[..k]) == state && info.committed_seq == k as u64
+                    expected_state(base_flows, &ops[..k]) == state && info.committed_seq == k as u64
                 });
                 match matched {
                     None => violations.push(format!(
@@ -470,61 +449,40 @@ pub fn run_scenario(scenario: usize, cfg: &TortureConfig, dir: &Path) -> Scenari
     }
 }
 
-/// Scratch directory for one sweep's journals — unique per run so
-/// concurrent runs never share or delete each other's files.
-fn scratch_dir(seed: u64) -> PathBuf {
-    static RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let run = RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("dnc_torture_{}_{seed}_{run}", std::process::id()))
-}
-
-/// Run the whole sweep. Deterministic in `cfg`.
+/// Run the whole sweep. Deterministic in `cfg` (journals live in a
+/// private scratch directory, removed when the sweep ends).
 pub fn run_torture(cfg: &TortureConfig) -> TortureReport {
     let _span = dnc_telemetry::span("torture.run");
-    let dir = scratch_dir(cfg.seed);
-    let _ = std::fs::create_dir_all(&dir);
+    let dir = ScratchDir::new("torture");
     let outcomes = (0..cfg.scenarios)
         .map(|scenario| run_scenario(scenario, cfg, &dir))
         .collect();
-    let _ = std::fs::remove_dir_all(&dir);
     TortureReport {
         cfg: cfg.clone(),
         outcomes,
     }
 }
 
+/// `dnc torture`: the whole sweep. Unsound on any lost ack or
+/// recovery divergence.
+pub fn harness(cfg: &TortureConfig) -> HarnessOutput {
+    let report = run_torture(cfg);
+    let (text, series) = (render_report(&report), torture_series(&report));
+    HarnessOutput::new("torture", text, series, report.sound())
+}
+
 /// The sweep as `dnc-metrics/v1` series: one row per scenario.
 pub fn torture_series(report: &TortureReport) -> Vec<dnc_telemetry::export::Series> {
+    use crate::column;
     use dnc_telemetry::export::{Cell, Series};
     use dnc_telemetry::schema::{self, ColumnMeta};
-    const SCENARIO: ColumnMeta = ColumnMeta {
-        label: "scenario",
-        unit: "",
-    };
-    const SITES: ColumnMeta = ColumnMeta {
-        label: "failpoint sites",
-        unit: "",
-    };
-    const RUNS: ColumnMeta = ColumnMeta {
-        label: "fault runs",
-        unit: "",
-    };
-    const TRIPPED: ColumnMeta = ColumnMeta {
-        label: "faults tripped",
-        unit: "",
-    };
-    const RECOVERIES: ColumnMeta = ColumnMeta {
-        label: "recoveries",
-        unit: "",
-    };
-    const ACKED: ColumnMeta = ColumnMeta {
-        label: "ops acked",
-        unit: "",
-    };
-    const VIOLATIONS: ColumnMeta = ColumnMeta {
-        label: "violations",
-        unit: "",
-    };
+    const SCENARIO: ColumnMeta = column("scenario", "");
+    const SITES: ColumnMeta = column("failpoint sites", "");
+    const RUNS: ColumnMeta = column("fault runs", "");
+    const TRIPPED: ColumnMeta = column("faults tripped", "");
+    const RECOVERIES: ColumnMeta = column("recoveries", "");
+    const ACKED: ColumnMeta = column("ops acked", "");
+    const VIOLATIONS: ColumnMeta = column("violations", "");
     let mut s = Series::new(
         "torture",
         vec![
@@ -553,11 +511,6 @@ pub fn torture_series(report: &TortureReport) -> Vec<dnc_telemetry::export::Seri
         ]);
     }
     vec![s]
-}
-
-/// Write `<dir>/metrics-torture.json`; returns the path written.
-pub fn write_torture_metrics_in(dir: &Path, report: &TortureReport) -> std::io::Result<PathBuf> {
-    crate::write_metrics_doc_in(dir, "torture", torture_series(report))
 }
 
 /// Render the sweep as a fixed-width text report.
@@ -645,8 +598,7 @@ mod tests {
     fn a_lost_ack_is_flagged() {
         // Feed the oracle a recovered journal that is missing the last
         // acked op: pretend one more op was acked than was journaled.
-        let dir = scratch_dir(99);
-        let _ = std::fs::create_dir_all(&dir);
+        let dir = ScratchDir::new("torture-lost-ack");
         let cfg = tiny();
         let mut rng = scenario_rng(cfg.seed, 0);
         let n = rng.gen_range(2usize..=3);
@@ -672,19 +624,12 @@ mod tests {
             violations.iter().any(|v| v.contains("acked op was lost")),
             "{violations:?}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn series_validate_against_schema() {
         let report = run_torture(&tiny());
-        let mut doc = dnc_telemetry::export::MetricsDoc::new(
-            "torture-test",
-            dnc_telemetry::Snapshot::default(),
-        );
-        doc.series = torture_series(&report);
-        let json = dnc_telemetry::export::metrics_json(&doc);
-        dnc_telemetry::schema::validate_metrics(&json).unwrap();
+        crate::validated_json(torture_series(&report));
         let text = render_report(&report);
         assert!(text.contains("1 scenario(s)"), "{text}");
     }

@@ -1,6 +1,6 @@
 //! The `dnc-bench/v1` perf-trajectory layer.
 //!
-//! `cargo xtask bench` (and `dnc bench`) append one record per run to
+//! `dnc bench` appends one record per run to
 //! the repo-root trajectory files `BENCH_throughput.json` and
 //! `BENCH_churn.json`. The files are JSON Lines — one self-contained
 //! record object per line — because append-only is the whole contract:
@@ -13,10 +13,10 @@
 //! (per-harness measurements) and `counters` (telemetry totals). The
 //! identity fields flow in through [`Stamp`], never from ad-hoc clock
 //! reads at the emit site: [`resolve_stamp`] is the single wall-clock
-//! read, and each of its fields is env-overridable
-//! (`DNC_BENCH_TIMESTAMP`, `DNC_BENCH_GIT_SHA`, `DNC_BENCH_TOOLCHAIN`)
-//! so deterministic replays produce byte-identical records and the
-//! `det-wall-clock` deepcheck lint has a single site to reason about.
+//! read, and callers that need byte-identical records (tests, replays)
+//! inject a fixed `Stamp` through `BenchOptions::stamp` instead, so
+//! the `det-wall-clock` deepcheck lint has a single site to reason
+//! about.
 //!
 //! On top of the parsed trajectory sits the regression gate: for every
 //! metric of the latest record it takes the median of up to the last K
@@ -65,41 +65,28 @@ impl Stamp {
     }
 }
 
-/// Resolve the run stamp: each field comes from its environment
-/// override when set, else from the ambient source. This is the one
-/// sanctioned wall-clock read of the bench recorder — every timestamp
-/// in a record or archive path derives from the `Stamp` it returns.
+/// Resolve the ambient run stamp: the wall clock, `git rev-parse`, and
+/// `rustc --version`. This is the one sanctioned wall-clock read of the
+/// bench recorder — every timestamp in a record or archive path derives
+/// from the `Stamp` it returns.
 pub fn resolve_stamp() -> Stamp {
-    let timestamp = std::env::var("DNC_BENCH_TIMESTAMP").unwrap_or_else(|_| {
-        let secs = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs());
-        format_utc(secs)
-    });
-    let git_sha = std::env::var("DNC_BENCH_GIT_SHA").unwrap_or_else(|_| {
-        std::process::Command::new("git")
-            .args(["rev-parse", "--short=12", "HEAD"])
+    let secs = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    let first_line_of = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
             .output()
             .ok()
             .filter(|o| o.status.success())
             .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
             .filter(|s| !s.is_empty())
             .unwrap_or_else(|| "unknown".to_string())
-    });
-    let toolchain = std::env::var("DNC_BENCH_TOOLCHAIN").unwrap_or_else(|_| {
-        std::process::Command::new("rustc")
-            .arg("--version")
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_string())
-    });
+    };
     Stamp {
-        timestamp,
-        git_sha,
-        toolchain,
+        timestamp: format_utc(secs),
+        git_sha: first_line_of("git", &["rev-parse", "--short=12", "HEAD"]),
+        toolchain: first_line_of("rustc", &["--version"]),
     }
 }
 
@@ -108,7 +95,7 @@ pub fn resolve_stamp() -> Stamp {
 /// measurement (it lands in the trajectory as `*.wall_us`), not state
 /// a deterministic replay must reproduce — see DESIGN §15.2.
 pub fn time_micros<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let started = std::time::Instant::now(); // audit: allow(det-wall-clock, the stopwatch is the measurement itself, not replayable state)
+    let started = std::time::Instant::now();
     let out = f();
     let elapsed = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
     (out, elapsed)
@@ -539,18 +526,16 @@ mod tests {
     }
 
     #[test]
-    fn stamp_env_overrides_win() {
-        std::env::set_var("DNC_BENCH_TIMESTAMP", "2001-01-01T00:00:00Z");
-        std::env::set_var("DNC_BENCH_GIT_SHA", "feedface");
-        std::env::set_var("DNC_BENCH_TOOLCHAIN", "rustc 0.0-test");
-        let stamp = resolve_stamp();
-        std::env::remove_var("DNC_BENCH_TIMESTAMP");
-        std::env::remove_var("DNC_BENCH_GIT_SHA");
-        std::env::remove_var("DNC_BENCH_TOOLCHAIN");
-        assert_eq!(stamp.timestamp, "2001-01-01T00:00:00Z");
-        assert_eq!(stamp.git_sha, "feedface");
-        assert_eq!(stamp.toolchain, "rustc 0.0-test");
+    fn stamp_slug_is_directory_safe() {
+        let stamp = Stamp {
+            timestamp: "2001-01-01T00:00:00Z".to_string(),
+            git_sha: "feedface".to_string(),
+            toolchain: "rustc 0.0-test".to_string(),
+        };
         assert_eq!(stamp.run_slug(), "feedface-2001-01-01T00-00-00Z");
+        let ambient = resolve_stamp();
+        assert!(ambient.timestamp.ends_with('Z'), "{ambient:?}");
+        assert!(!ambient.git_sha.is_empty() && !ambient.toolchain.is_empty());
     }
 
     #[test]
@@ -566,9 +551,8 @@ mod tests {
 
     #[test]
     fn append_grows_one_line_per_run() {
-        let dir = std::env::temp_dir().join(format!("dnc_trajectory_{}", std::process::id()));
+        let dir = dnc_service::fs::ScratchDir::new("trajectory");
         let path = dir.join("BENCH_test.json");
-        let _ = std::fs::remove_file(&path);
         let rec = record(&[("m", 1.0)]);
         append_record(&path, &rec).unwrap();
         append_record(&path, &rec).unwrap();
@@ -576,7 +560,7 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
         dnc_telemetry::schema::validate_bench(&text).unwrap();
         assert_eq!(load_trajectory(&path).unwrap().len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(dir);
         assert_eq!(load_trajectory(&path).unwrap().len(), 0, "missing = empty");
     }
 

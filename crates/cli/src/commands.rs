@@ -1,7 +1,15 @@
-//! Command implementations. Every command produces its report as a
-//! `String` so the whole CLI is testable without spawning processes.
+//! Command implementations, dispatched through one static registry.
+//!
+//! Every `dnc` command is one [`COMMANDS`] entry: a name, a positional
+//! synopsis, a flag spec (value kind, default, help) and a run fn. One
+//! parser checks every flag against its command's spec, so a flag of
+//! one kind validates the same way everywhere, and `dnc help` is
+//! generated from the table. Harness commands share one output path
+//! ([`emit`]). Every command produces its report as a `String` so the
+//! whole CLI is testable without spawning processes.
 
 use crate::parse::{parse_spec, BuiltNetwork};
+use dnc_bench::{chaos, churn, socket, throughput, torture, HarnessOutput};
 use dnc_core::decomposed::{backlog_bounds, Decomposed};
 use dnc_core::fifo_family::FifoFamily;
 use dnc_core::integrated::Integrated;
@@ -15,7 +23,9 @@ use dnc_sim::{all_greedy, simulate, SimConfig};
 use dnc_telemetry::export::{write_metrics, write_trace, Cell, MetricsDoc, Series};
 use dnc_telemetry::{schema, Snapshot, TraceEvent};
 use dnc_traffic::SourceModel;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// CLI failure: a message and a suggested exit code.
@@ -39,10 +49,15 @@ pub const EXIT_NO_BOUND: i32 = dnc_bench::exit::NO_BOUND;
 pub const EXIT_REGRESSION: i32 = dnc_bench::exit::REGRESSION;
 
 impl CliError {
+    /// A usage error.
     fn new(message: impl Into<String>) -> CliError {
+        CliError::with_code(message, EXIT_USAGE)
+    }
+
+    fn with_code(message: impl Into<String>, code: i32) -> CliError {
         CliError {
             message: message.into(),
-            code: EXIT_USAGE,
+            code,
         }
     }
 }
@@ -63,73 +78,247 @@ fn load(path: &str) -> Result<(BuiltNetwork, crate::parse::NetworkSpec), CliErro
     Ok((built, spec))
 }
 
-const USAGE: &str = "\
-usage: dnc <command> <file.dnc> [options]
+// ---------------------------------------------------------------------------
+// The registry
+// ---------------------------------------------------------------------------
 
-commands:
-  check     structure report: topology, utilizations, integrated pairing
-  analyze   end-to-end delay bounds   [--algo integrated|decomposed|service-curve|
-                                       fifo-family|time-stopping|resilient|all]
-                                      [--csv <path>] [--metrics <path>] [--trace <path>]
-                                      [--workers N]
-            `resilient` runs the guarded Integrated -> Decomposed -> Unbounded
-            fallback chain; exit code 3 means no valid bound within budget;
-            --workers N fans pairing groups over N threads (identical output)
-  profile   run every applicable algorithm and compare cost vs tightness
-            (incl. curve-cache hit rate) [--metrics <path>] [--trace <path>]
-  backlog   per-server buffer bounds
-  simulate  adversarial simulation    [--ticks N] [--seed S]
-  chaos     randomized fault-injection soundness sweep (no file argument)
-                                      [--scenarios N] [--seed S] [--ticks T]
-                                      [--metrics <path>] [--scenario K]
-            exit code 1 flags a simulated delay above a claimed bound;
-            --scenario K replays scenario K of the seed alone, bit-exact
-  churn     randomized online-admission soundness sweep (no file argument)
-                                      [--seqs N] [--ops N] [--seed S]
-                                      [--kill-points K] [--metrics <path>]
-                                      [--seq I] [--workers N]
-            every commit is independently re-certified and every journal
-            is crash-recovered from K random truncation points; exit
-            code 1 flags either falsifier firing; --seq I replays
-            sequence I of the seed alone, bit-exact; --snapshot-every E
-            compacts the journal and checks tail-only recovery instead
-            of the raw truncation falsifier
-  torture   disk-fault torture sweep (no file argument): enumerate every
-            storage failpoint (journal append/fsync, snapshot publish,
-            rotation), inject EIO/ENOSPC/short-write/crash at each, and
-            verify fail-stop recovery — no acked op lost, no phantom op
-            recovered, tail-only replay past the newest snapshot
-                                      [--scenarios N] [--ops N] [--seed S]
-                                      [--snapshot-every E] [--stride K]
-                                      [--metrics <path>]
-            exit code 1 flags any lost ack or recovery divergence
-  bench     record one perf-trajectory run (no file argument): run the
-            throughput, profile, chaos, and churn harnesses with pinned
-            seeds, archive their raw metrics under results/runs/<sha>-<ts>/,
-            and append one dnc-bench/v1 record each to BENCH_throughput.json
-            and BENCH_churn.json     [--quick] [--seed S] [--out-dir DIR]
-                                     [--gate] [--window K] [--threshold PCT]
-                                     [--dashboard DIR]
-            with --gate, exit code 4 flags a gated metric outside the
-            noise band (median of the last K runs ± the threshold)
-  tandem    emit the paper's tandem as a .dnc file: dnc tandem <n> <U>
-  provision minimal GPS reservations meeting the declared deadlines
-  serve     durable online admission   --script <requests> [--journal <wal>]
-                                       [--queue N] [--workers N]
-                                       [--snapshot-every N]
-            processes scripted admit/release/query requests against the
-            network file; certified commits are journaled before they are
-            acknowledged, and an existing journal is recovered first
-            (newest valid snapshot + tail replay); --snapshot-every N
-            compacts the journal every N commits via an atomically
-            published snapshot; a storage failure poisons the journal
-            and the server fail-stops (terminal ERR, no ack)
-            socket mode: --listen <addr> [--max-conns N] [--batch N]
-                         [--drain-timeout SECS]
-            serves the same request lines to concurrent TCP clients; up
-            to --batch ops share one journal record and fsync (group
-            commit) and are acknowledged only after it; a `shutdown`
-            line drains the server (flush, fsync, exit 0)
+/// How a flag's value is read. Every flag of one kind validates the
+/// same way in every command.
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    /// Present or absent; takes no value.
+    Switch,
+    /// An unsigned integer no smaller than the bound.
+    Int(u64),
+    /// An exact rational: `3`, `1/4`, `0.25`.
+    Num,
+    /// Free text — a path, an address, a name — shown as the placeholder.
+    Text(&'static str),
+}
+use Kind::{Int, Num, Switch, Text};
+
+impl Kind {
+    /// Whether `value` is a valid value of this kind.
+    fn accepts(self, value: &str) -> bool {
+        match self {
+            Switch => false,
+            Int(min) => value.parse::<u64>().is_ok_and(|n| n >= min),
+            Num => value.parse::<Rat>().is_ok(),
+            Text(_) => true,
+        }
+    }
+
+    /// What a value of this kind must be, for error messages.
+    fn expects(self) -> String {
+        match self {
+            Int(0) => "an integer".to_string(),
+            Int(min) => format!("an integer >= {min}"),
+            Num => "a number (3, 1/4, 0.25)".to_string(),
+            Switch | Text(_) => "a value".to_string(),
+        }
+    }
+}
+
+/// One flag of a command.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    /// The value used when the flag is absent (`""`: none).
+    default: &'static str,
+    help: &'static str,
+}
+
+const fn flag(name: &'static str, kind: Kind, default: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        kind,
+        default,
+        help,
+    }
+}
+
+impl Flag {
+    /// `--name` or `--name PLACEHOLDER`.
+    fn synopsis(&self) -> String {
+        match self.kind {
+            Switch => self.name.to_string(),
+            Int(_) => format!("{} N", self.name),
+            Num => format!("{} X", self.name),
+            Text(p) => format!("{} {p}", self.name),
+        }
+    }
+}
+
+/// How a command runs.
+enum Run {
+    /// Returns its report text.
+    Report(fn(&Args) -> Result<String, CliError>),
+    /// A harness: its output takes the shared path of [`emit`].
+    Harness(fn(&Args) -> Result<HarnessOutput, CliError>),
+}
+
+/// One `dnc` command.
+struct Command {
+    name: &'static str,
+    /// Positional arguments, one word each (e.g. `<file.dnc>`).
+    synopsis: &'static str,
+    flags: &'static [Flag],
+    run: Run,
+    /// What the command does, for `dnc help`.
+    about: &'static str,
+}
+
+#[rustfmt::skip]
+const SEED: Flag = flag("--seed", Int(0), "1", "master seed");
+#[rustfmt::skip]
+const WORKERS: Flag = flag("--workers", Int(1), "1", "analysis threads per certification (identical output)");
+#[rustfmt::skip]
+const METRICS: Flag = flag("--metrics", Text("PATH"), "", "write a dnc-metrics/v1 JSON document");
+#[rustfmt::skip]
+const TRACE: Flag = flag("--trace", Text("PATH"), "", "write Chrome trace_event JSON");
+#[rustfmt::skip]
+const OUT_DIR: Flag = flag("--out-dir", Text("DIR"), "results", "where the metrics document and CSV/SVG files go");
+
+/// Every `dnc` command, in `dnc help` order.
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    Command { name: "check", synopsis: "<file.dnc>", flags: &[], run: Run::Report(check),
+        about: "structure report: topology, utilizations, integrated pairing" },
+    Command { name: "analyze", synopsis: "<file.dnc>", run: Run::Report(analyze), flags: &[
+            flag("--algo", Text("NAME"), "all",
+                "integrated, decomposed, service-curve, fifo-family, time-stopping,\nresilient or all"),
+            flag("--csv", Text("PATH"), "", "write the bounds as CSV"),
+            METRICS, TRACE, WORKERS],
+        about: "end-to-end delay bounds; `resilient` runs the guarded Integrated ->\n\
+                Decomposed -> Unbounded fallback chain (exit 3: no valid bound within\n\
+                budget)" },
+    Command { name: "profile", synopsis: "<file.dnc>", flags: &[METRICS, TRACE], run: Run::Report(profile),
+        about: "run every applicable algorithm and compare cost vs tightness (incl.\n\
+                curve-cache hit rate)" },
+    Command { name: "backlog", synopsis: "<file.dnc>", flags: &[], run: Run::Report(backlog),
+        about: "per-server buffer bounds" },
+    Command { name: "simulate", synopsis: "<file.dnc>", run: Run::Report(simulate_cmd), flags: &[
+            flag("--ticks", Int(0), "8192", "simulated ticks"), SEED],
+        about: "adversarial simulation against the Integrated bounds (exit 1 on a\n\
+                violation)" },
+    Command { name: "provision", synopsis: "<file.dnc>", flags: &[], run: Run::Report(provision),
+        about: "minimal GPS reservations meeting the declared deadlines" },
+    Command { name: "tandem", synopsis: "<n> <U>", flags: &[], run: Run::Report(tandem),
+        about: "emit the paper's n-switch tandem at work load U as a .dnc file" },
+    Command { name: "serve", synopsis: "<file.dnc>", run: Run::Report(serve), flags: &[
+            flag("--script", Text("PATH"), "", "scripted mode: the request file"),
+            flag("--journal", Text("PATH"), "", "write-ahead journal, recovered first if it exists"),
+            flag("--queue", Int(0), "64", "pending-request bound"),
+            WORKERS,
+            flag("--snapshot-every", Int(1), "", "compact the journal every N commits (needs --journal)"),
+            flag("--listen", Text("ADDR"), "", "socket mode: the address to serve on"),
+            flag("--max-conns", Int(1), "64", "socket mode: concurrent connection cap"),
+            flag("--batch", Int(1), "8", "socket mode: max ops per group commit (one fsync)"),
+            flag("--drain-timeout", Int(0), "5", "socket mode: seconds to drain after `shutdown`")],
+        about: "durable online admission of admit/release/query requests: certified\n\
+                commits are journaled before they are acknowledged, an existing journal\n\
+                is recovered first (newest valid snapshot + tail replay), and a storage\n\
+                failure poisons the journal (fail-stop: terminal ERR, no ack). Socket\n\
+                mode serves the same request lines to concurrent TCP clients, group-\n\
+                committing up to --batch ops; a `shutdown` line drains the server" },
+    Command { name: "figure", synopsis: "<4|5|6>", flags: &[OUT_DIR], run: Run::Harness(figure),
+        about: "regenerate Figure 4 (Decomposed vs Service Curve), 5 (Integrated vs\n\
+                Decomposed) or 6 (Integrated vs Service Curve): figN.csv, figN.svg" },
+    Command { name: "modern", synopsis: "", flags: &[OUT_DIR],
+        run: Run::Harness(|_| Ok(dnc_bench::experiments::modern())),
+        about: "Integrated vs the post-1999 θ-optimized FIFO family: modern.csv" },
+    Command { name: "validate", synopsis: "", flags: &[OUT_DIR],
+        run: Run::Harness(|_| Ok(dnc_bench::experiments::sim_validation())),
+        about: "tandem bounds vs adversarial and randomized simulation: validate.csv;\n\
+                exit 1 on any bound violation" },
+    Command { name: "admission", synopsis: "", flags: &[OUT_DIR],
+        run: Run::Harness(|_| Ok(dnc_bench::experiments::admission())),
+        about: "largest certifiable tandem load per deadline and method: admission.csv" },
+    Command { name: "tightness", synopsis: "", flags: &[OUT_DIR],
+        run: Run::Harness(|_| Ok(dnc_bench::experiments::tightness())),
+        about: "Theorem 1' vs the exact fluid worst case of the two-server subsystem:\n\
+                tightness.csv; exit 1 unless exact <= integrated <= decomposed" },
+    Command { name: "disciplines", synopsis: "", flags: &[OUT_DIR],
+        run: Run::Harness(|_| Ok(dnc_bench::experiments::disciplines())),
+        about: "FIFO vs SP vs EDF vs GPS on one shared link: disciplines.csv" },
+    Command { name: "chaos", synopsis: "",
+        run: Run::Harness(|a| Ok(chaos::harness(&chaos_config(a), a.get("--scenario")))),
+        flags: &[
+            flag("--scenarios", Int(0), "32", "randomized fault scenarios"),
+            SEED,
+            flag("--ticks", Int(0), "2048", "simulated ticks per scenario"),
+            flag("--scenario", Int(0), "", "replay this scenario alone, bit-exact"),
+            OUT_DIR],
+        about: "randomized fault-injection soundness sweep (exit 1: a simulated delay\n\
+                above a claimed bound)" },
+    Command { name: "churn", synopsis: "",
+        run: Run::Harness(|a| Ok(churn::harness(&churn_config(a), a.get("--seq")))),
+        flags: &[
+            flag("--seqs", Int(0), "6", "randomized admit/release sequences"),
+            flag("--ops", Int(0), "40", "requests per sequence"),
+            SEED,
+            flag("--kill-points", Int(0), "8", "journal truncation points per sequence"),
+            flag("--snapshot-every", Int(1), "", "compact the journal; check tail-only recovery"),
+            flag("--seq", Int(0), "", "replay this sequence alone, bit-exact"),
+            WORKERS, OUT_DIR],
+        about: "online-admission soundness sweep: every commit is independently\n\
+                re-certified and every journal crash-recovered from random truncation\n\
+                points (exit 1: either falsifier fired)" },
+    Command { name: "torture", synopsis: "",
+        run: Run::Harness(|a| Ok(torture::harness(&torture_config(a)))),
+        flags: &[
+            flag("--scenarios", Int(0), "2", "randomized workloads"),
+            flag("--ops", Int(0), "12", "requests per workload"),
+            SEED,
+            flag("--snapshot-every", Int(1), "4", "compact the journal every N commits"),
+            flag("--stride", Int(1), "1", "visit every K-th failpoint"),
+            OUT_DIR],
+        about: "disk-fault torture sweep: EIO/ENOSPC/short-write/crash at every storage\n\
+                failpoint, then fail-stop recovery (exit 1: a lost ack or divergence)" },
+    Command { name: "socket", synopsis: "",
+        run: Run::Harness(|a| Ok(socket::harness(&socket_config(a), a.get("--check")))),
+        flags: &[
+            flag("--clients", Int(1), "8", "concurrent pipelining clients"),
+            flag("--ops", Int(2), "12", "requests per client"),
+            flag("--batch", Int(2), "8", "group-commit batch"),
+            SEED,
+            flag("--check", Num, "", "require group commit to reach X times per-op acks/sec"),
+            OUT_DIR],
+        about: "acks/sec of group commit vs per-op fsync over the TCP front end (exit\n\
+                1: a soundness mismatch or a failed --check)" },
+    Command { name: "throughput", synopsis: "",
+        run: Run::Harness(|a| Ok(throughput::harness(&throughput_config(a), a.switch("--check")))),
+        flags: &[
+            flag("--n", Int(2), "10", "tandem size"),
+            flag("--ops", Int(0), "48", "requests"),
+            SEED,
+            flag("--workers", Int(1), "4", "parallel-mode threads"),
+            flag("--check", Switch, "", "require incremental to reach sequential admissions/sec"),
+            OUT_DIR],
+        about: "admissions/sec of from-scratch sequential, parallel and incremental\n\
+                certification (exit 1: a cross-mode mismatch or a failed --check)" },
+    Command { name: "bench", synopsis: "", run: Run::Report(bench), flags: &[
+            flag("--quick", Switch, "", "CI-sized harness configs"),
+            SEED,
+            flag("--out-dir", Text("DIR"), "results", "root of the raw-metrics archives"),
+            flag("--bench-dir", Text("DIR"), ".", "directory of the BENCH_*.json trajectories"),
+            flag("--gate", Switch, "", "exit 4 when a gated metric regressed"),
+            flag("--window", Int(0), "5", "gate baseline: median of the last K runs"),
+            flag("--threshold", Int(0), "25", "gate band around the baseline, in percent"),
+            flag("--dashboard", Text("DIR"), "", "render the static dashboard here")],
+        about: "record one perf-trajectory run: throughput, profile, socket, chaos and\n\
+                churn with pinned seeds; raw metrics archived under\n\
+                <out-dir>/runs/<sha>-<ts>/, one dnc-bench/v1 record appended to each\n\
+                of BENCH_throughput.json and BENCH_churn.json" },
+    Command { name: "help", synopsis: "", flags: &[], run: Run::Report(|_| Ok(help_text())),
+        about: "print this help (also --help, -h)" },
+];
+
+/// The hand-written tail of `dnc help`: the exit-code table and notes.
+const HELP_TAIL: &str = "
+Harness commands (figure through throughput) print their report, write
+metrics-<name>.json plus their CSV/SVG files under --out-dir, and exit 1
+when the run is unsound.
 
 exit codes (uniform across commands):
   0  success — rejections/sheds by `serve` are normal service answers
@@ -147,434 +336,289 @@ Span/counter detail needs a build with `--features telemetry`.
 
 `.dnc` format: see the dnc-cli crate documentation.";
 
+/// `dnc <name> <synopsis> [--flag VALUE]...`
+fn usage_line(cmd: &Command) -> String {
+    let mut s = format!("dnc {}", cmd.name);
+    if !cmd.synopsis.is_empty() {
+        let _ = write!(s, " {}", cmd.synopsis);
+    }
+    for f in cmd.flags {
+        let _ = write!(s, " [{}]", f.synopsis());
+    }
+    s
+}
+
+/// `dnc help`, generated from [`COMMANDS`].
+fn help_text() -> String {
+    let mut s = String::from("usage: dnc <command> [arguments] [options]\n\ncommands:\n");
+    for cmd in COMMANDS {
+        let _ = writeln!(s, "  {}", usage_line(cmd));
+        for line in cmd.about.lines() {
+            let _ = writeln!(s, "      {line}");
+        }
+        for f in cmd.flags {
+            let mut help = f.help.lines();
+            let _ = write!(
+                s,
+                "      {:<22} {}",
+                f.synopsis(),
+                help.next().unwrap_or("")
+            );
+            for line in help {
+                let _ = write!(s, "\n      {:<22} {line}", "");
+            }
+            if !f.default.is_empty() {
+                let _ = write!(s, " (default {})", f.default);
+            }
+            s.push('\n');
+        }
+    }
+    s.push_str(HELP_TAIL);
+    s
+}
+
+/// A command line checked against its command's spec.
+struct Args {
+    positional: Vec<String>,
+    /// Given or defaulted values by flag name (a given switch maps to "").
+    values: BTreeMap<&'static str, String>,
+}
+
+impl Args {
+    /// Check `rest` against `cmd`'s spec: every flag known, every value
+    /// of its flag's kind, the positional count as the synopsis says.
+    fn parse(cmd: &Command, rest: &[String]) -> Result<Args, CliError> {
+        let usage = || format!("usage: {}", usage_line(cmd));
+        let mut positional = Vec::new();
+        let mut values = BTreeMap::new();
+        let mut it = rest.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                positional.push(arg.clone());
+                continue;
+            }
+            let Some(f) = cmd.flags.iter().find(|f| f.name == arg) else {
+                return Err(CliError::new(format!("unknown option {arg}\n{}", usage())));
+            };
+            let value = match f.kind {
+                Switch => "",
+                kind => it
+                    .next()
+                    .filter(|v| !v.starts_with("--") && kind.accepts(v))
+                    .ok_or_else(|| CliError::new(format!("{} needs {}", f.name, kind.expects())))?,
+            };
+            values.insert(f.name, value.to_string());
+        }
+        if positional.len() != cmd.synopsis.split_whitespace().count() {
+            return Err(CliError::new(usage()));
+        }
+        for f in cmd.flags.iter().filter(|f| !f.default.is_empty()) {
+            values
+                .entry(f.name)
+                .or_insert_with(|| f.default.to_string());
+        }
+        Ok(Args { positional, values })
+    }
+
+    /// Positional argument `i` (the parser checked the count).
+    fn pos(&self, i: usize) -> &str {
+        self.positional.get(i).map_or("", String::as_str)
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.values.contains_key(name)
+    }
+
+    /// A flag's value, given or defaulted (the parser checked its kind).
+    fn get<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.values.get(name).and_then(|v| v.parse().ok())
+    }
+
+    /// The value of a flag that has a default.
+    fn val<T: std::str::FromStr + Default>(&self, name: &str) -> T {
+        self.get(name).unwrap_or_default()
+    }
+}
+
 /// Entry point: interpret `args` (without the program name).
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let mut it = args.iter();
-    let cmd = it.next().ok_or_else(|| CliError::new(USAGE))?;
-    match cmd.as_str() {
-        "check" => {
-            let path = it.next().ok_or_else(|| CliError::new(USAGE))?;
-            check(path)
-        }
-        "analyze" => {
-            let path = it.next().ok_or_else(|| CliError::new(USAGE))?;
-            let mut algo = "all".to_string();
-            let mut csv: Option<String> = None;
-            let mut workers = 1usize;
-            let mut sinks = ExportSinks::default();
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--algo" => {
-                        algo = rest
-                            .get(i + 1)
-                            .ok_or_else(|| CliError::new("--algo needs a value"))?
-                            .to_string();
-                        i += 2;
-                    }
-                    "--csv" => {
-                        csv = Some(
-                            rest.get(i + 1)
-                                .ok_or_else(|| CliError::new("--csv needs a path"))?
-                                .to_string(),
-                        );
-                        i += 2;
-                    }
-                    "--workers" => {
-                        workers = rest
-                            .get(i + 1)
-                            .and_then(|v| v.parse::<usize>().ok())
-                            .filter(|&w| w >= 1)
-                            .ok_or_else(|| CliError::new("--workers needs a positive integer"))?;
-                        i += 2;
-                    }
-                    other => i = sinks.parse_opt(&rest, i, other)?,
-                }
-            }
-            analyze(path, &algo, csv.as_deref(), &sinks, workers)
-        }
-        "profile" => {
-            let path = it.next().ok_or_else(|| CliError::new(USAGE))?;
-            let mut sinks = ExportSinks::default();
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let opt = rest[i].as_str();
-                i = sinks.parse_opt(&rest, i, opt)?;
-            }
-            profile(path, &sinks)
-        }
-        "backlog" => {
-            let path = it.next().ok_or_else(|| CliError::new(USAGE))?;
-            backlog(path)
-        }
-        "simulate" => {
-            let path = it.next().ok_or_else(|| CliError::new(USAGE))?;
-            let mut ticks = 8192u64;
-            let mut seed = 1u64;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--ticks" => {
-                        ticks = rest
-                            .get(i + 1)
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| CliError::new("--ticks needs an integer"))?;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        seed = rest
-                            .get(i + 1)
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| CliError::new("--seed needs an integer"))?;
-                        i += 2;
-                    }
-                    other => return Err(CliError::new(format!("unknown option {other}"))),
-                }
-            }
-            simulate_cmd(path, ticks, seed)
-        }
-        "chaos" => {
-            let mut cfg = dnc_bench::chaos::ChaosConfig::default();
-            let mut metrics: Option<String> = None;
-            let mut scenario: Option<usize> = None;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let int_value = |name: &str, i: usize| -> Result<u64, CliError> {
-                    rest.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| CliError::new(format!("{name} needs an integer")))
-                };
-                match rest[i].as_str() {
-                    "--scenarios" => {
-                        cfg.scenarios = int_value("--scenarios", i)? as usize;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        cfg.seed = int_value("--seed", i)?;
-                        i += 2;
-                    }
-                    "--ticks" => {
-                        cfg.ticks = int_value("--ticks", i)?;
-                        i += 2;
-                    }
-                    "--scenario" => {
-                        scenario = Some(int_value("--scenario", i)? as usize);
-                        i += 2;
-                    }
-                    "--metrics" => {
-                        metrics = Some(
-                            rest.get(i + 1)
-                                .ok_or_else(|| CliError::new("--metrics needs a path"))?
-                                .to_string(),
-                        );
-                        i += 2;
-                    }
-                    other => return Err(CliError::new(format!("unknown option {other}"))),
-                }
-            }
-            match scenario {
-                Some(id) => chaos_replay_cmd(&cfg, id),
-                None => chaos_cmd(&cfg, metrics.as_deref()),
-            }
-        }
-        "churn" => {
-            let mut cfg = dnc_bench::churn::ChurnConfig::default();
-            let mut metrics: Option<String> = None;
-            let mut seq: Option<usize> = None;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let int_value = |name: &str, i: usize| -> Result<u64, CliError> {
-                    rest.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| CliError::new(format!("{name} needs an integer")))
-                };
-                match rest[i].as_str() {
-                    "--seqs" => {
-                        cfg.seqs = int_value("--seqs", i)? as usize;
-                        i += 2;
-                    }
-                    "--ops" => {
-                        cfg.ops = int_value("--ops", i)? as usize;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        cfg.seed = int_value("--seed", i)?;
-                        i += 2;
-                    }
-                    "--kill-points" => {
-                        cfg.kill_points = int_value("--kill-points", i)? as usize;
-                        i += 2;
-                    }
-                    "--snapshot-every" => {
-                        cfg.snapshot_every = Some(int_value("--snapshot-every", i)?.max(1));
-                        i += 2;
-                    }
-                    "--seq" => {
-                        seq = Some(int_value("--seq", i)? as usize);
-                        i += 2;
-                    }
-                    "--workers" => {
-                        cfg.workers = (int_value("--workers", i)? as usize).max(1);
-                        i += 2;
-                    }
-                    "--metrics" => {
-                        metrics = Some(
-                            rest.get(i + 1)
-                                .ok_or_else(|| CliError::new("--metrics needs a path"))?
-                                .to_string(),
-                        );
-                        i += 2;
-                    }
-                    other => return Err(CliError::new(format!("unknown option {other}"))),
-                }
-            }
-            churn_cmd(&cfg, metrics.as_deref(), seq)
-        }
-        "torture" => {
-            let mut cfg = dnc_bench::torture::TortureConfig::default();
-            let mut metrics: Option<String> = None;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let int_value = |name: &str, i: usize| -> Result<u64, CliError> {
-                    rest.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| CliError::new(format!("{name} needs an integer")))
-                };
-                match rest[i].as_str() {
-                    "--scenarios" => {
-                        cfg.scenarios = int_value("--scenarios", i)? as usize;
-                        i += 2;
-                    }
-                    "--ops" => {
-                        cfg.ops = int_value("--ops", i)? as usize;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        cfg.seed = int_value("--seed", i)?;
-                        i += 2;
-                    }
-                    "--snapshot-every" => {
-                        cfg.snapshot_every = int_value("--snapshot-every", i)?.max(1);
-                        i += 2;
-                    }
-                    "--stride" => {
-                        cfg.stride = (int_value("--stride", i)? as usize).max(1);
-                        i += 2;
-                    }
-                    "--metrics" => {
-                        metrics = Some(
-                            rest.get(i + 1)
-                                .ok_or_else(|| CliError::new("--metrics needs a path"))?
-                                .to_string(),
-                        );
-                        i += 2;
-                    }
-                    other => return Err(CliError::new(format!("unknown option {other}"))),
-                }
-            }
-            torture_cmd(&cfg, metrics.as_deref())
-        }
-        "bench" => {
-            let mut opts = dnc_bench::runner::BenchOptions::default();
-            let mut gate_enforced = false;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let value = |name: &str, i: usize| -> Result<String, CliError> {
-                    rest.get(i + 1)
-                        .map(|v| v.to_string())
-                        .ok_or_else(|| CliError::new(format!("{name} needs a value")))
-                };
-                match rest[i].as_str() {
-                    "--quick" => {
-                        opts.quick = true;
-                        i += 1;
-                    }
-                    "--gate" => {
-                        gate_enforced = true;
-                        i += 1;
-                    }
-                    "--seed" => {
-                        opts.seed = value("--seed", i)?
-                            .parse()
-                            .map_err(|_| CliError::new("--seed needs an integer"))?;
-                        i += 2;
-                    }
-                    "--window" => {
-                        opts.gate.window = value("--window", i)?
-                            .parse()
-                            .map_err(|_| CliError::new("--window needs an integer"))?;
-                        i += 2;
-                    }
-                    "--threshold" => {
-                        opts.gate.threshold_pct = value("--threshold", i)?
-                            .parse()
-                            .map_err(|_| CliError::new("--threshold needs an integer"))?;
-                        i += 2;
-                    }
-                    "--out-dir" => {
-                        opts.out_dir = std::path::PathBuf::from(value("--out-dir", i)?);
-                        i += 2;
-                    }
-                    "--bench-dir" => {
-                        opts.bench_dir = std::path::PathBuf::from(value("--bench-dir", i)?);
-                        i += 2;
-                    }
-                    "--dashboard" => {
-                        opts.dashboard = Some(std::path::PathBuf::from(value("--dashboard", i)?));
-                        i += 2;
-                    }
-                    other => return Err(CliError::new(format!("unknown option {other}"))),
-                }
-            }
-            bench_cmd(&opts, gate_enforced)
-        }
-        "provision" => {
-            let path = it.next().ok_or_else(|| CliError::new(USAGE))?;
-            provision(path)
-        }
-        "serve" => {
-            let path = it.next().ok_or_else(|| CliError::new(USAGE))?;
-            let mut script: Option<String> = None;
-            let mut journal: Option<String> = None;
-            let mut queue = 64usize;
-            let mut workers = 1usize;
-            let mut listen: Option<String> = None;
-            let mut max_conns = 64usize;
-            let mut batch = 8usize;
-            let mut drain_timeout = 5u64;
-            let mut snapshot_every: Option<u64> = None;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let value = |name: &str, i: usize| -> Result<String, CliError> {
-                    rest.get(i + 1)
-                        .map(|v| v.to_string())
-                        .ok_or_else(|| CliError::new(format!("{name} needs a value")))
-                };
-                match rest[i].as_str() {
-                    "--script" => {
-                        script = Some(value("--script", i)?);
-                        i += 2;
-                    }
-                    "--journal" => {
-                        journal = Some(value("--journal", i)?);
-                        i += 2;
-                    }
-                    "--queue" => {
-                        queue = value("--queue", i)?
-                            .parse()
-                            .map_err(|_| CliError::new("--queue needs an integer"))?;
-                        i += 2;
-                    }
-                    "--workers" => {
-                        workers = value("--workers", i)?
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&w| w >= 1)
-                            .ok_or_else(|| CliError::new("--workers needs a positive integer"))?;
-                        i += 2;
-                    }
-                    "--listen" => {
-                        listen = Some(value("--listen", i)?);
-                        i += 2;
-                    }
-                    "--max-conns" => {
-                        max_conns = value("--max-conns", i)?
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| CliError::new("--max-conns needs a positive integer"))?;
-                        i += 2;
-                    }
-                    "--batch" => {
-                        batch = value("--batch", i)?
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| CliError::new("--batch needs a positive integer"))?;
-                        i += 2;
-                    }
-                    "--drain-timeout" => {
-                        drain_timeout = value("--drain-timeout", i)?
-                            .parse()
-                            .map_err(|_| CliError::new("--drain-timeout needs seconds"))?;
-                        i += 2;
-                    }
-                    "--snapshot-every" => {
-                        snapshot_every = Some(
-                            value("--snapshot-every", i)?
-                                .parse::<u64>()
-                                .ok()
-                                .filter(|&n| n >= 1)
-                                .ok_or_else(|| {
-                                    CliError::new("--snapshot-every needs a positive integer")
-                                })?,
-                        );
-                        i += 2;
-                    }
-                    other => return Err(CliError::new(format!("unknown option {other}"))),
-                }
-            }
-            if snapshot_every.is_some() && journal.is_none() {
-                return Err(CliError::new("--snapshot-every needs --journal <wal>"));
-            }
-            if script.is_none() && listen.is_none() {
-                return Err(CliError::new(
-                    "serve needs --script <requests> or --listen <addr>",
-                ));
-            }
-            let (built, _) = load(path)?;
-            let base_deadlines = built
-                .deadlines
-                .iter()
-                .enumerate()
-                .filter_map(|(i, d)| {
-                    d.map(|deadline| dnc_core::admission::Deadline {
-                        flow: dnc_net::FlowId(i),
-                        deadline,
-                    })
-                })
-                .collect();
-            crate::serve::serve(
-                &crate::serve::ServeOptions {
-                    network: path.to_string(),
-                    script,
-                    journal,
-                    queue,
-                    workers,
-                    listen,
-                    max_conns,
-                    batch,
-                    drain_timeout,
-                    snapshot_every,
-                },
-                built.net,
-                base_deadlines,
-            )
-        }
-        "tandem" => {
-            let n: usize = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| CliError::new("usage: dnc tandem <n> <U>"))?;
-            let u: Rat = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| CliError::new("usage: dnc tandem <n> <U>"))?;
-            tandem_file(n, u)
-        }
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(CliError::new(format!(
-            "unknown command {other:?}\n\n{USAGE}"
-        ))),
+    let Some((name, rest)) = args.split_first() else {
+        return Err(CliError::new(help_text()));
+    };
+    let name = match name.as_str() {
+        "--help" | "-h" => "help",
+        other => other,
+    };
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| CliError::new(format!("unknown command {name:?}\n\n{}", help_text())))?;
+    let a = Args::parse(cmd, rest)?;
+    match cmd.run {
+        Run::Report(f) => f(&a),
+        Run::Harness(f) => emit(&f(&a)?, &a.val::<PathBuf>("--out-dir")),
     }
+}
+
+/// The shared output path of every harness command: the report, then
+/// one `wrote <path>` line per file written under `dir`; exit 1 when the
+/// run is unsound.
+fn emit(out: &HarnessOutput, dir: &Path) -> Result<String, CliError> {
+    let mut text = out.text.clone();
+    let written = out
+        .write(dir)
+        .map_err(|e| CliError::new(format!("{text}cannot write under {}: {e}", dir.display())))?;
+    for path in written {
+        let _ = writeln!(text, "wrote {}", path.display());
+    }
+    if out.sound {
+        Ok(text)
+    } else {
+        Err(CliError::with_code(text, EXIT_VIOLATION))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Commands
+// ---------------------------------------------------------------------------
+
+fn figure(a: &Args) -> Result<HarnessOutput, CliError> {
+    a.pos(0)
+        .parse()
+        .ok()
+        .and_then(dnc_bench::experiments::figure)
+        .ok_or_else(|| CliError::new("usage: dnc figure <4|5|6>"))
+}
+
+fn chaos_config(a: &Args) -> chaos::ChaosConfig {
+    chaos::ChaosConfig {
+        scenarios: a.val("--scenarios"),
+        seed: a.val("--seed"),
+        ticks: a.val("--ticks"),
+    }
+}
+
+fn churn_config(a: &Args) -> churn::ChurnConfig {
+    churn::ChurnConfig {
+        seqs: a.val("--seqs"),
+        ops: a.val("--ops"),
+        seed: a.val("--seed"),
+        kill_points: a.val("--kill-points"),
+        workers: a.val("--workers"),
+        snapshot_every: a.get("--snapshot-every"),
+    }
+}
+
+fn torture_config(a: &Args) -> torture::TortureConfig {
+    torture::TortureConfig {
+        scenarios: a.val("--scenarios"),
+        ops: a.val("--ops"),
+        seed: a.val("--seed"),
+        snapshot_every: a.val("--snapshot-every"),
+        stride: a.val("--stride"),
+    }
+}
+
+fn socket_config(a: &Args) -> socket::SocketConfig {
+    socket::SocketConfig {
+        clients: a.val("--clients"),
+        ops_per_client: a.val("--ops"),
+        batch: a.val("--batch"),
+        seed: a.val("--seed"),
+    }
+}
+
+fn throughput_config(a: &Args) -> throughput::ThroughputConfig {
+    throughput::ThroughputConfig {
+        n: a.val("--n"),
+        ops: a.val("--ops"),
+        seed: a.val("--seed"),
+        workers: a.val("--workers"),
+        ..throughput::ThroughputConfig::default()
+    }
+}
+
+fn bench_options(a: &Args) -> dnc_bench::runner::BenchOptions {
+    dnc_bench::runner::BenchOptions {
+        quick: a.switch("--quick"),
+        seed: a.val("--seed"),
+        out_dir: a.val("--out-dir"),
+        bench_dir: a.val("--bench-dir"),
+        gate: dnc_bench::trajectory::GateConfig {
+            window: a.val("--window"),
+            threshold_pct: u32::try_from(a.val::<u64>("--threshold")).unwrap_or(u32::MAX),
+        },
+        dashboard: a.get("--dashboard"),
+        stamp: None,
+    }
+}
+
+/// `dnc bench`: record one perf-trajectory run through
+/// [`dnc_bench::runner::run_bench`], then map the outcome onto the
+/// unified exit table: harness soundness failures exit 1, a tripped
+/// gate (only with `--gate`) exits 4.
+fn bench(a: &Args) -> Result<String, CliError> {
+    let summary = dnc_bench::runner::run_bench(&bench_options(a))
+        .map_err(|e| CliError::new(format!("bench: {e}")))?;
+    let mut out = summary.text.clone();
+    if !summary.sound() {
+        let _ = writeln!(out, "bench: harness soundness failure");
+        return Err(CliError::with_code(out, EXIT_VIOLATION));
+    }
+    if a.switch("--gate") && summary.regressed() {
+        let _ = writeln!(out, "bench: regression gate tripped");
+        return Err(CliError::with_code(out, EXIT_REGRESSION));
+    }
+    Ok(out)
+}
+
+fn serve(a: &Args) -> Result<String, CliError> {
+    let path = a.pos(0);
+    let (journal, snapshot_every) = (a.get("--journal"), a.get("--snapshot-every"));
+    if snapshot_every.is_some() && journal.is_none() {
+        return Err(CliError::new("--snapshot-every needs --journal <wal>"));
+    }
+    let (script, listen) = (a.get("--script"), a.get("--listen"));
+    if script.is_none() && listen.is_none() {
+        return Err(CliError::new(
+            "serve needs --script <requests> or --listen <addr>",
+        ));
+    }
+    let (built, _) = load(path)?;
+    let base_deadlines = built
+        .deadlines
+        .iter()
+        .enumerate()
+        .filter_map(|(i, d)| {
+            d.map(|deadline| dnc_core::admission::Deadline {
+                flow: dnc_net::FlowId(i),
+                deadline,
+            })
+        })
+        .collect();
+    crate::serve::serve(
+        &crate::serve::ServeOptions {
+            network: path.to_string(),
+            script,
+            journal,
+            queue: a.val("--queue"),
+            workers: a.val("--workers"),
+            listen,
+            max_conns: a.val("--max-conns"),
+            batch: a.val("--batch"),
+            drain_timeout: a.val("--drain-timeout"),
+            snapshot_every,
+        },
+        built.net,
+        base_deadlines,
+    )
+}
+
+fn tandem(a: &Args) -> Result<String, CliError> {
+    let usage = || CliError::new("usage: dnc tandem <n> <U>");
+    let n: usize = a.pos(0).parse().map_err(|_| usage())?;
+    let u: Rat = a.pos(1).parse().map_err(|_| usage())?;
+    tandem_file(n, u)
 }
 
 fn algorithms(which: &str, workers: usize) -> Result<Vec<Box<dyn DelayAnalysis>>, CliError> {
@@ -601,31 +645,16 @@ fn algorithms(which: &str, workers: usize) -> Result<Vec<Box<dyn DelayAnalysis>>
 }
 
 /// Optional machine-readable outputs shared by `analyze` and `profile`.
-#[derive(Default)]
 struct ExportSinks {
     metrics: Option<String>,
     trace: Option<String>,
 }
 
 impl ExportSinks {
-    /// Consume `--metrics <path>` / `--trace <path>` at position `i`;
-    /// returns the next position or an error for an unknown option.
-    fn parse_opt(&mut self, rest: &[&String], i: usize, opt: &str) -> Result<usize, CliError> {
-        let value = |name: &str| {
-            rest.get(i + 1)
-                .map(|v| v.to_string())
-                .ok_or_else(|| CliError::new(format!("{name} needs a path")))
-        };
-        match opt {
-            "--metrics" => {
-                self.metrics = Some(value("--metrics")?);
-                Ok(i + 2)
-            }
-            "--trace" => {
-                self.trace = Some(value("--trace")?);
-                Ok(i + 2)
-            }
-            other => Err(CliError::new(format!("unknown option {other}"))),
+    fn new(a: &Args) -> ExportSinks {
+        ExportSinks {
+            metrics: a.get("--metrics"),
+            trace: a.get("--trace"),
         }
     }
 
@@ -686,17 +715,16 @@ struct ProfileRow {
 }
 
 /// Hit fraction of the curve/aggregate caches during one profiled run.
-const CACHE_HIT_RATE: dnc_telemetry::schema::ColumnMeta = dnc_telemetry::schema::ColumnMeta {
-    label: "cache hit rate",
-    unit: "",
-};
+const CACHE_HIT_RATE: schema::ColumnMeta = dnc_bench::column("cache hit rate", "");
 
 /// One profiled analysis run: the report plus a free-form notes string.
 type ProfileRun<'a> = dyn Fn(&dnc_net::Network) -> Result<(AnalysisReport, String), String> + 'a;
 
 /// Run every applicable algorithm on `path`, reporting tightness (worst
 /// end-to-end bound) against cost (wall time, curve-operation counts).
-fn profile(path: &str, sinks: &ExportSinks) -> Result<String, CliError> {
+fn profile(a: &Args) -> Result<String, CliError> {
+    let path = a.pos(0);
+    let sinks = ExportSinks::new(a);
     let (built, _) = load(path)?;
     let net = &built.net;
     let cyclic = net.topological_order().is_err();
@@ -711,7 +739,6 @@ fn profile(path: &str, sinks: &ExportSinks) -> Result<String, CliError> {
 
     let mut run_one = |name: &'static str, run: &ProfileRun<'_>| {
         dnc_telemetry::reset();
-        // audit: allow(det-wall-clock, profile wall-time column is reporting-side by design and never feeds the Rat analysis)
         let t0 = Instant::now();
         let outcome = run(net);
         let wall_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -874,7 +901,8 @@ fn profile(path: &str, sinks: &ExportSinks) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn check(path: &str) -> Result<String, CliError> {
+fn check(a: &Args) -> Result<String, CliError> {
+    let path = a.pos(0);
     let (built, _) = load(path)?;
     let net = &built.net;
     let mut out = String::new();
@@ -950,13 +978,10 @@ fn format_report(out: &mut String, report: &AnalysisReport, deadlines: &[Option<
     }
 }
 
-fn analyze(
-    path: &str,
-    which: &str,
-    csv: Option<&str>,
-    sinks: &ExportSinks,
-    workers: usize,
-) -> Result<String, CliError> {
+fn analyze(a: &Args) -> Result<String, CliError> {
+    let (which, csv): (String, Option<String>) = (a.val("--algo"), a.get("--csv"));
+    let (path, which, csv) = (a.pos(0), which.as_str(), csv.as_deref());
+    let (sinks, workers) = (ExportSinks::new(a), a.val("--workers"));
     let (built, _) = load(path)?;
     if sinks.any() {
         dnc_telemetry::reset();
@@ -1019,13 +1044,9 @@ fn analyze(
             None => {
                 // Divergence / budget exhaustion gets its own exit code so
                 // scripts can tell "no valid bound" from usage errors.
-                return Err(CliError {
-                    message: format!(
-                        "no valid bound within budget; degradation chain: {}",
-                        r.chain_summary()
-                    ),
-                    code: EXIT_NO_BOUND,
-                });
+                let chain = r.chain_summary();
+                let message = format!("no valid bound within budget; degradation chain: {chain}");
+                return Err(CliError::with_code(message, EXIT_NO_BOUND));
             }
         }
     }
@@ -1048,8 +1069,8 @@ fn analyze(
     finish(out, csv_rows, bounds_series)
 }
 
-fn backlog(path: &str) -> Result<String, CliError> {
-    let (built, _) = load(path)?;
+fn backlog(a: &Args) -> Result<String, CliError> {
+    let (built, _) = load(a.pos(0))?;
     let bounds = backlog_bounds(&built.net, OutputCap::Shift)
         .map_err(|e| CliError::new(format!("analysis failed: {e}")))?;
     let mut out = String::from("worst-case buffer requirements (cells):\n");
@@ -1065,12 +1086,12 @@ fn backlog(path: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn simulate_cmd(path: &str, ticks: u64, seed: u64) -> Result<String, CliError> {
-    let (built, _) = load(path)?;
+fn simulate_cmd(a: &Args) -> Result<String, CliError> {
+    let (built, _) = load(a.pos(0))?;
     let net = &built.net;
     let cfg = SimConfig {
-        ticks,
-        seed,
+        ticks: a.val("--ticks"),
+        seed: a.val("--seed"),
         ..SimConfig::default()
     };
     let greedy = simulate(net, &all_greedy(net), &cfg);
@@ -1113,143 +1134,8 @@ fn simulate_cmd(path: &str, ticks: u64, seed: u64) -> Result<String, CliError> {
         );
     }
     if violations > 0 {
-        return Err(CliError {
-            message: format!("{out}\n{violations} bound violation(s)"),
-            code: EXIT_VIOLATION,
-        });
-    }
-    Ok(out)
-}
-
-/// Run the chaos soundness harness: randomized fault scenarios through
-/// the simulator and the guarded analysis chain. Any simulated delay
-/// above a bound still claimed valid for the degraded capacity is a
-/// soundness violation (exit code [`EXIT_VIOLATION`]).
-fn chaos_cmd(
-    cfg: &dnc_bench::chaos::ChaosConfig,
-    metrics: Option<&str>,
-) -> Result<String, CliError> {
-    let report = dnc_bench::chaos::run_chaos(cfg);
-    let mut out = dnc_bench::chaos::render_report(&report);
-    if let Some(p) = metrics {
-        let mut doc = MetricsDoc::new("chaos", dnc_telemetry::snapshot());
-        doc.series = dnc_bench::chaos::chaos_series(&report);
-        write_metrics(&doc, std::path::Path::new(p))
-            .map_err(|e| CliError::new(format!("cannot write {p}: {e}")))?;
-        let _ = writeln!(out, "wrote {p}");
-    }
-    if report.violation_count() > 0 {
-        Err(CliError {
-            message: out,
-            code: EXIT_VIOLATION,
-        })
-    } else {
-        Ok(out)
-    }
-}
-
-/// Replay scenario `id` of a chaos run alone (`--scenario`): identical
-/// draws to the full sweep, same exit-code contract.
-fn chaos_replay_cmd(cfg: &dnc_bench::chaos::ChaosConfig, id: usize) -> Result<String, CliError> {
-    let outcome = dnc_bench::chaos::replay_scenario(cfg, id);
-    let out = dnc_bench::chaos::render_scenario(cfg, &outcome);
-    if outcome.violations.is_empty() {
-        Ok(out)
-    } else {
-        Err(CliError {
-            message: out,
-            code: EXIT_VIOLATION,
-        })
-    }
-}
-
-/// Run the churn soundness harness (or replay one sequence with
-/// `--seq`): randomized admit/release mixes through the durable
-/// engine, independently re-certified after every commit and
-/// crash-recovered from random journal truncation points. Either
-/// falsifier firing is exit code [`EXIT_VIOLATION`].
-fn churn_cmd(
-    cfg: &dnc_bench::churn::ChurnConfig,
-    metrics: Option<&str>,
-    seq: Option<usize>,
-) -> Result<String, CliError> {
-    let report = match seq {
-        Some(id) => dnc_bench::churn::ChurnReport {
-            cfg: cfg.clone(),
-            outcomes: vec![dnc_bench::churn::replay_sequence(cfg, id)],
-        },
-        None => dnc_bench::churn::run_churn(cfg),
-    };
-    let mut out = dnc_bench::churn::render_report(&report);
-    if let Some(p) = metrics {
-        let mut doc = MetricsDoc::new("churn", dnc_telemetry::snapshot());
-        doc.series = dnc_bench::churn::churn_series(&report);
-        write_metrics(&doc, std::path::Path::new(p))
-            .map_err(|e| CliError::new(format!("cannot write {p}: {e}")))?;
-        let _ = writeln!(out, "wrote {p}");
-    }
-    if report.sound() {
-        Ok(out)
-    } else {
-        Err(CliError {
-            message: out,
-            code: EXIT_VIOLATION,
-        })
-    }
-}
-
-/// Run the disk-fault torture sweep: enumerate every storage failpoint
-/// (journal append/fsync, snapshot publish, rotation), inject each
-/// fault kind at each site, and verify fail-stop recovery — no acked
-/// op lost, no phantom op recovered, tail-only replay past the newest
-/// snapshot. Any falsifier hit is exit code [`EXIT_VIOLATION`].
-fn torture_cmd(
-    cfg: &dnc_bench::torture::TortureConfig,
-    metrics: Option<&str>,
-) -> Result<String, CliError> {
-    let report = dnc_bench::torture::run_torture(cfg);
-    let mut out = dnc_bench::torture::render_report(&report);
-    if let Some(p) = metrics {
-        let mut doc = MetricsDoc::new("torture", dnc_telemetry::snapshot());
-        doc.series = dnc_bench::torture::torture_series(&report);
-        write_metrics(&doc, std::path::Path::new(p))
-            .map_err(|e| CliError::new(format!("cannot write {p}: {e}")))?;
-        let _ = writeln!(out, "wrote {p}");
-    }
-    if report.sound() {
-        Ok(out)
-    } else {
-        Err(CliError {
-            message: out,
-            code: EXIT_VIOLATION,
-        })
-    }
-}
-
-/// `dnc bench`: record one perf-trajectory run through
-/// [`dnc_bench::runner::run_bench`], then map the outcome onto the
-/// unified exit table: harness soundness failures exit 1, a tripped
-/// gate (only when `--gate` was passed) exits 4.
-fn bench_cmd(
-    opts: &dnc_bench::runner::BenchOptions,
-    gate_enforced: bool,
-) -> Result<String, CliError> {
-    let summary =
-        dnc_bench::runner::run_bench(opts).map_err(|e| CliError::new(format!("bench: {e}")))?;
-    let mut out = summary.text.clone();
-    if !summary.sound() {
-        let _ = writeln!(out, "bench: harness soundness failure");
-        return Err(CliError {
-            message: out,
-            code: EXIT_VIOLATION,
-        });
-    }
-    if gate_enforced && summary.regressed() {
-        let _ = writeln!(out, "bench: regression gate tripped");
-        return Err(CliError {
-            message: out,
-            code: EXIT_REGRESSION,
-        });
+        let message = format!("{out}\n{violations} bound violation(s)");
+        return Err(CliError::with_code(message, EXIT_VIOLATION));
     }
     Ok(out)
 }
@@ -1257,9 +1143,9 @@ fn bench_cmd(
 /// For every flow with a deadline that crosses GPS servers, find the
 /// minimal uniform reservation (on a 1/64 grid) that certifies the
 /// deadline, allocating flows greedily in declaration order.
-fn provision(path: &str) -> Result<String, CliError> {
+fn provision(a: &Args) -> Result<String, CliError> {
     use dnc_net::Discipline;
-    let (built, spec) = load(path)?;
+    let (built, spec) = load(a.pos(0))?;
     let mut net = built.net.clone();
     let mut gps_flows: Vec<usize> = (0..net.flows().len())
         .filter(|&i| {
@@ -1375,10 +1261,11 @@ fn tandem_file(n: usize, u: Rat) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dnc_service::fs::ScratchDir;
 
-    fn sample_file() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dnc_cli_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    /// A two-server sample network in a private scratch directory.
+    fn sample_file() -> (ScratchDir, String) {
+        let dir = ScratchDir::new("cli");
         let path = dir.join("sample.dnc");
         std::fs::write(
             &path,
@@ -1391,17 +1278,22 @@ flow upper1 route L1 bucket 1 1/8 peak 1
 ",
         )
         .unwrap();
-        path
+        (dir, path.display().to_string())
     }
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Run one command line, its arguments split on whitespace.
+    fn dnc(line: &str) -> Result<String, CliError> {
+        run(&args(&line.split_whitespace().collect::<Vec<_>>()))
+    }
+
     #[test]
     fn check_reports_structure() {
-        let p = sample_file();
-        let out = run(&args(&["check", p.to_str().unwrap()])).unwrap();
+        let (_dir, p) = sample_file();
+        let out = dnc(&format!("check {p}")).unwrap();
         assert!(out.contains("2 servers, 3 flows"));
         assert!(out.contains("topological order: L0 -> L1"));
         assert!(out.contains("integrated pairing (1 pairs)"));
@@ -1409,8 +1301,8 @@ flow upper1 route L1 bucket 1 1/8 peak 1
 
     #[test]
     fn analyze_all_algorithms() {
-        let p = sample_file();
-        let out = run(&args(&["analyze", p.to_str().unwrap(), "--algo", "all"])).unwrap();
+        let (_dir, p) = sample_file();
+        let out = dnc(&format!("analyze {p} --algo all")).unwrap();
         assert!(out.contains("[decomposed]"));
         assert!(out.contains("[integrated]"));
         assert!(out.contains("[service-curve]"));
@@ -1420,18 +1312,11 @@ flow upper1 route L1 bucket 1 1/8 peak 1
 
     #[test]
     fn analyze_csv_output() {
-        let p = sample_file();
-        let dir = p.parent().unwrap().to_path_buf();
+        let (dir, p) = sample_file();
         let csv_path = dir.join("out.csv");
-        let out = run(&args(&[
-            "analyze",
-            p.to_str().unwrap(),
-            "--algo",
-            "integrated",
-            "--csv",
-            csv_path.to_str().unwrap(),
-        ]))
-        .unwrap();
+        let csv = csv_path.display();
+        let out = dnc(&format!("analyze {p} --algo integrated --csv {csv}")).unwrap();
+        assert!(out.contains("[integrated]") && !out.contains("[decomposed]"));
         assert!(out.contains("wrote"));
         let csv = std::fs::read_to_string(&csv_path).unwrap();
         assert!(csv.starts_with("algorithm,flow,name,bound,bound_f64"));
@@ -1439,123 +1324,29 @@ flow upper1 route L1 bucket 1 1/8 peak 1
         assert_eq!(csv.lines().count(), 4, "header + three flows");
     }
 
-    #[test]
-    fn chaos_smoke_reports_soundness_and_writes_metrics() {
-        let p = sample_file();
-        let metrics = p.parent().unwrap().join("chaos-metrics.json");
-        let out = run(&args(&[
-            "chaos",
-            "--scenarios",
-            "3",
-            "--seed",
-            "5",
-            "--ticks",
-            "256",
-            "--metrics",
-            metrics.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("3 scenarios, seed 5, 256 ticks"), "{out}");
-        assert!(out.contains("no soundness violations"), "{out}");
-        let json = std::fs::read_to_string(&metrics).unwrap();
-        schema::validate_metrics(&json).unwrap();
-        assert!(json.contains("\"chaos\""));
-    }
-
-    #[test]
-    fn chaos_scenario_replay_is_exit_clean_and_detailed() {
-        let out = run(&args(&[
-            "chaos",
-            "--scenarios",
-            "4",
-            "--seed",
-            "11",
-            "--ticks",
-            "256",
-            "--scenario",
-            "2",
-        ]))
-        .unwrap();
-        assert!(out.contains("chaos replay: scenario 2 of seed 11"), "{out}");
-        assert!(
-            out.contains("no soundness violations") || out.contains("VIOLATION"),
-            "{out}"
-        );
-    }
-
-    #[test]
-    fn churn_smoke_is_sound_and_writes_metrics() {
-        let metrics = sample_file().parent().unwrap().join("churn-metrics.json");
-        let out = run(&args(&[
-            "churn",
-            "--seqs",
-            "2",
-            "--ops",
-            "10",
-            "--seed",
-            "5",
-            "--kill-points",
-            "3",
-            "--metrics",
-            metrics.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("2 sequences"), "{out}");
-        assert!(
-            out.contains("no certification or recovery violations"),
-            "{out}"
-        );
-        let json = std::fs::read_to_string(&metrics).unwrap();
-        dnc_telemetry::schema::validate_metrics(&json).unwrap();
-        assert!(json.contains("\"churn\""));
-        // Replay of one sequence alone is also exit-clean.
-        let out = run(&args(&[
-            "churn",
-            "--seqs",
-            "2",
-            "--ops",
-            "10",
-            "--seed",
-            "5",
-            "--kill-points",
-            "3",
-            "--seq",
-            "1",
-        ]))
-        .unwrap();
-        assert!(
-            out.contains("no certification or recovery violations"),
-            "{out}"
-        );
-    }
-
-    fn write_script(name: &str, text: &str) -> std::path::PathBuf {
-        let dir = sample_file().parent().unwrap().to_path_buf();
+    fn write_script(dir: &Path, name: &str, text: &str) -> String {
         let path = dir.join(name);
         std::fs::write(&path, text).unwrap();
-        path
+        path.display().to_string()
+    }
+
+    /// `dnc serve <sample network> --script <requests> <options>`.
+    fn serve_script(requests: &str, options: &str) -> Result<String, CliError> {
+        let (dir, p) = sample_file();
+        let script = write_script(&dir, "requests.txt", requests);
+        dnc(&format!("serve {p} --script {script} {options}"))
     }
 
     #[test]
     fn serve_admits_releases_and_queries() {
-        let p = sample_file();
-        let script = write_script(
-            "serve-roundtrip.txt",
-            "\
+        let script = "\
 # one connection in, inspected, then out again
 admit a route L0 L1 bucket 1 1/8 deadline 40
 query
 release a
 query
-",
-        );
-        let out = run(&args(&[
-            "serve",
-            p.to_str().unwrap(),
-            "--script",
-            script.to_str().unwrap(),
-        ]))
-        .unwrap();
+";
+        let out = serve_script(script, "").unwrap();
         assert!(out.contains("ADMIT   a: certified"), "{out}");
         assert!(out.contains("QUERY   1 admitted"), "{out}");
         assert!(out.contains("RELEASE a: ok"), "{out}");
@@ -1565,18 +1356,8 @@ query
 
     #[test]
     fn serve_rejects_an_impossible_deadline() {
-        let p = sample_file();
-        let script = write_script(
-            "serve-reject.txt",
-            "admit hopeless route L0 L1 bucket 1 1/8 deadline 1/1000\n",
-        );
-        let out = run(&args(&[
-            "serve",
-            p.to_str().unwrap(),
-            "--script",
-            script.to_str().unwrap(),
-        ]))
-        .unwrap();
+        let script = "admit hopeless route L0 L1 bucket 1 1/8 deadline 1/1000\n";
+        let out = serve_script(script, "").unwrap();
         assert!(out.contains("REJECT  hopeless:"), "{out}");
         assert!(out.contains("1 rollback(s)"), "{out}");
         assert!(out.contains("0 connection(s) admitted"), "{out}");
@@ -1584,34 +1365,19 @@ query
 
     #[test]
     fn serve_recovers_committed_state_from_the_journal() {
-        let p = sample_file();
-        let journal = p.parent().unwrap().join("serve-recovery.wal");
-        let _ = std::fs::remove_file(&journal);
+        let (dir, p) = sample_file();
+        let journal = dir.join("serve-recovery.wal");
+        let journal = journal.display();
         let first = write_script(
+            &dir,
             "serve-recovery-1.txt",
             "admit durable route L0 L1 bucket 1 1/8 deadline 40\n",
         );
-        let out = run(&args(&[
-            "serve",
-            p.to_str().unwrap(),
-            "--script",
-            first.to_str().unwrap(),
-            "--journal",
-            journal.to_str().unwrap(),
-        ]))
-        .unwrap();
+        let out = dnc(&format!("serve {p} --script {first} --journal {journal}")).unwrap();
         assert!(out.contains("ADMIT   durable"), "{out}");
 
-        let second = write_script("serve-recovery-2.txt", "query\n");
-        let out = run(&args(&[
-            "serve",
-            p.to_str().unwrap(),
-            "--script",
-            second.to_str().unwrap(),
-            "--journal",
-            journal.to_str().unwrap(),
-        ]))
-        .unwrap();
+        let second = write_script(&dir, "serve-recovery-2.txt", "query\n");
+        let out = dnc(&format!("serve {p} --script {second} --journal {journal}")).unwrap();
         assert!(
             out.contains("recovery: replayed 1 committed operation(s), 1 connection(s) live"),
             "{out}"
@@ -1622,24 +1388,12 @@ query
 
     #[test]
     fn serve_sheds_under_overload() {
-        let p = sample_file();
-        let script = write_script(
-            "serve-shed.txt",
-            "\
+        let script = "\
 admit a route L0 L1 bucket 1 1/8 deadline 50
 admit b route L0 L1 bucket 1 1/8 deadline 30
 admit c route L0 L1 bucket 1 1/8 deadline 90
-",
-        );
-        let out = run(&args(&[
-            "serve",
-            p.to_str().unwrap(),
-            "--script",
-            script.to_str().unwrap(),
-            "--queue",
-            "1",
-        ]))
-        .unwrap();
+";
+        let out = serve_script(script, "--queue 1").unwrap();
         // Capacity 1: `b` (tighter) displaces `a`; `c` (loosest) is shed
         // outright; only `b` reaches certification.
         assert!(
@@ -1656,79 +1410,32 @@ admit c route L0 L1 bucket 1 1/8 deadline 90
 
     #[test]
     fn serve_usage_errors_exit_2() {
-        let p = sample_file();
+        let (_dir, p) = sample_file();
         // No --script at all.
-        let err = run(&args(&["serve", p.to_str().unwrap()])).unwrap_err();
+        let err = dnc(&format!("serve {p}")).unwrap_err();
         assert_eq!(err.code, EXIT_USAGE);
         // A script line the grammar rejects.
-        let script = write_script("serve-bad.txt", "admit x route L0 bucket 1 1/8\n");
-        let err = run(&args(&[
-            "serve",
-            p.to_str().unwrap(),
-            "--script",
-            script.to_str().unwrap(),
-        ]))
-        .unwrap_err();
+        let err = serve_script("admit x route L0 bucket 1 1/8\n", "").unwrap_err();
         assert_eq!(err.code, EXIT_USAGE);
         assert!(err.message.contains("deadline"), "{}", err.message);
         // An unknown server name.
-        let script = write_script(
-            "serve-bad-server.txt",
-            "admit x route L9 bucket 1 1/8 deadline 5\n",
-        );
-        let err = run(&args(&[
-            "serve",
-            p.to_str().unwrap(),
-            "--script",
-            script.to_str().unwrap(),
-        ]))
-        .unwrap_err();
+        let err = serve_script("admit x route L9 bucket 1 1/8 deadline 5\n", "").unwrap_err();
         assert_eq!(err.code, EXIT_USAGE);
         assert!(err.message.contains("unknown server"), "{}", err.message);
     }
 
     #[test]
-    fn chaos_rejects_bad_options() {
-        let err = run(&args(&["chaos", "--scenarios", "not-a-number"])).unwrap_err();
-        assert_eq!(err.code, EXIT_USAGE);
-        let err = run(&args(&["chaos", "--bogus"])).unwrap_err();
-        assert_eq!(err.code, EXIT_USAGE);
-    }
-
-    #[test]
-    fn analyze_single_algorithm() {
-        let p = sample_file();
-        let out = run(&args(&[
-            "analyze",
-            p.to_str().unwrap(),
-            "--algo",
-            "integrated",
-        ]))
-        .unwrap();
-        assert!(out.contains("[integrated]"));
-        assert!(!out.contains("[decomposed]"));
-    }
-
-    #[test]
     fn backlog_lists_every_server() {
-        let p = sample_file();
-        let out = run(&args(&["backlog", p.to_str().unwrap()])).unwrap();
+        let (_dir, p) = sample_file();
+        let out = dnc(&format!("backlog {p}")).unwrap();
         assert!(out.contains("L0"));
         assert!(out.contains("L1"));
     }
 
     #[test]
     fn simulate_reports_ok() {
-        let p = sample_file();
-        let out = run(&args(&[
-            "simulate",
-            p.to_str().unwrap(),
-            "--ticks",
-            "2048",
-            "--seed",
-            "7",
-        ]))
-        .unwrap();
+        let (_dir, p) = sample_file();
+        let out = dnc(&format!("simulate {p} --ticks 2048 --seed 7")).unwrap();
         assert!(out.contains("conn0"));
         assert!(out.contains("ok"));
         assert!(!out.contains("VIOLATION"));
@@ -1736,22 +1443,93 @@ admit c route L0 L1 bucket 1 1/8 deadline 90
 
     #[test]
     fn bad_inputs_fail_cleanly() {
-        assert!(run(&args(&["analyze", "/nonexistent.dnc"])).is_err());
-        assert!(run(&args(&["frobnicate"])).is_err());
+        assert!(dnc("analyze /nonexistent.dnc").is_err());
+        assert!(dnc("frobnicate").is_err());
+        for line in ["figure 7", "figure", "figure 4 5"] {
+            assert_eq!(dnc(line).unwrap_err().code, EXIT_USAGE, "{line}");
+        }
         assert!(run(&args(&[])).is_err());
-        let p = sample_file();
-        assert!(run(&args(&["analyze", p.to_str().unwrap(), "--algo", "magic"])).is_err());
+        let (_dir, p) = sample_file();
+        assert!(dnc(&format!("analyze {p} --algo magic")).is_err());
     }
 
     #[test]
     fn help_prints_usage() {
-        let out = run(&args(&["help"])).unwrap();
+        let out = dnc("help").unwrap();
         assert!(out.contains("usage: dnc"));
+        assert_eq!(dnc("--help").unwrap(), out);
     }
 
-    fn ring_file() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dnc_cli_ring_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    #[test]
+    fn every_command_is_in_help_and_parses_flags_one_way() {
+        let help = dnc("help").unwrap();
+        for cmd in COMMANDS {
+            let name = cmd.name;
+            assert!(help.contains(&usage_line(cmd)), "{name} missing from help");
+            let err = run(&args(&[name, "--bogus"])).unwrap_err();
+            assert_eq!(err.code, EXIT_USAGE, "{name}: {}", err.message);
+            assert!(err.message.contains("unknown option --bogus"), "{name}");
+            if matches!(cmd.run, Run::Harness(_)) {
+                assert!(cmd.flags.iter().any(|f| f.name == "--out-dir"), "{name}");
+            }
+            for f in cmd.flags.iter().filter(|f| !matches!(f.kind, Switch)) {
+                let err = run(&args(&[name, f.name])).unwrap_err();
+                assert_eq!(err.code, EXIT_USAGE, "{name} {} without a value", f.name);
+                assert!(err.message.contains("needs"), "{name} {}", f.name);
+                let d = f.default;
+                assert!(d.is_empty() || f.kind.accepts(d), "{name}: bad default {d}");
+                if let Int(min) = f.kind {
+                    let below = min.checked_sub(1).map(|m| m.to_string());
+                    for bad in ["x".to_string()].into_iter().chain(below) {
+                        let err = run(&args(&[name, f.name, &bad])).unwrap_err();
+                        assert_eq!(err.code, EXIT_USAGE, "{name} {} {bad}", f.name);
+                    }
+                }
+                let workers_ok = f.name != "--workers" || matches!(f.kind, Int(1));
+                assert!(workers_ok, "{name}: --workers 0 must be an error");
+            }
+        }
+    }
+
+    #[test]
+    fn harness_flag_defaults_match_the_library_configs() {
+        fn library_default<T: Default>(_: &T) -> T {
+            T::default()
+        }
+        macro_rules! same {
+            ($config:ident, $cmd:literal) => {{
+                let cmd = COMMANDS.iter().find(|c| c.name == $cmd).unwrap();
+                let cli = $config(&Args::parse(cmd, &[]).unwrap());
+                let lib = library_default(&cli);
+                assert_eq!(format!("{cli:?}"), format!("{lib:?}"), $cmd);
+            }};
+        }
+        same!(chaos_config, "chaos");
+        same!(churn_config, "churn");
+        same!(torture_config, "torture");
+        same!(socket_config, "socket");
+        same!(throughput_config, "throughput");
+        same!(bench_options, "bench");
+    }
+
+    #[test]
+    fn an_unsound_harness_writes_its_files_then_exits_1() {
+        let dir = ScratchDir::new("cli-emit");
+        let out = HarnessOutput::new("probe", "ORDER VIOLATION\n".to_string(), Vec::new(), false)
+            .with_file("probe.csv".to_string(), "a,b\n".to_string());
+        let err = emit(&out, &dir).unwrap_err();
+        assert_eq!(err.code, EXIT_VIOLATION);
+        assert!(
+            err.message.starts_with("ORDER VIOLATION\nwrote "),
+            "{err:?}"
+        );
+        assert!(dir.join("probe.csv").exists());
+        let json = std::fs::read_to_string(dir.join("metrics-probe.json")).unwrap();
+        schema::validate_metrics(&json).unwrap();
+    }
+
+    fn ring_file() -> (ScratchDir, String) {
+        let dir = ScratchDir::new("cli-ring");
         let path = dir.join("ring.dnc");
         std::fs::write(
             &path,
@@ -1765,41 +1543,29 @@ flow f2 route r2 r0 bucket 1 1/8 peak 1
 ",
         )
         .unwrap();
-        path
+        (dir, path.display().to_string())
     }
 
     #[test]
     fn cyclic_file_is_checked_and_analyzed() {
-        let p = ring_file();
-        let out = run(&args(&["check", p.to_str().unwrap()])).unwrap();
+        let (_dir, p) = ring_file();
+        let out = dnc(&format!("check {p}")).unwrap();
         assert!(out.contains("CYCLIC"));
         // `analyze` with the default routes through the resilient chain,
         // which answers via time-stopping at the decomposed tier.
-        let out = run(&args(&["analyze", p.to_str().unwrap()])).unwrap();
+        let out = dnc(&format!("analyze {p}")).unwrap();
         assert!(out.contains("[time-stopping]"));
         assert!(out.contains("answered at tier decomposed"), "{out}");
         assert!(out.contains("integrated: inapplicable"), "{out}");
         // Feedforward-only algorithms are refused with a clear message.
-        let err = run(&args(&[
-            "analyze",
-            p.to_str().unwrap(),
-            "--algo",
-            "integrated",
-        ]))
-        .unwrap_err();
+        let err = dnc(&format!("analyze {p} --algo integrated")).unwrap_err();
         assert!(err.message.contains("cyclic"));
     }
 
     #[test]
     fn resilient_algo_on_feedforward_reports_tier() {
-        let p = sample_file();
-        let out = run(&args(&[
-            "analyze",
-            p.to_str().unwrap(),
-            "--algo",
-            "resilient",
-        ]))
-        .unwrap();
+        let (_dir, p) = sample_file();
+        let out = dnc(&format!("analyze {p} --algo resilient")).unwrap();
         assert!(out.contains("answered at tier integrated"), "{out}");
         assert!(out.contains("[integrated]"), "{out}");
     }
@@ -1809,8 +1575,7 @@ flow f2 route r2 r0 bucket 1 1/8 peak 1
         // 5-ring with full-circumference flows past the time-stopping
         // amplification threshold: the chain must end at the explicit
         // Unbounded tier with its dedicated exit code.
-        let dir = std::env::temp_dir().join(format!("dnc_cli_heavy_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-heavy");
         let path = dir.join("heavy-ring.dnc");
         let mut text = String::new();
         for i in 0..5 {
@@ -1824,7 +1589,7 @@ flow f2 route r2 r0 bucket 1 1/8 peak 1
             ));
         }
         std::fs::write(&path, text).unwrap();
-        let err = run(&args(&["analyze", path.to_str().unwrap()])).unwrap_err();
+        let err = dnc(&format!("analyze {}", path.display())).unwrap_err();
         assert_eq!(err.code, EXIT_NO_BOUND);
         assert!(err.message.contains("no valid bound"), "{}", err.message);
         assert!(err.message.contains("decomposed"), "{}", err.message);
@@ -1832,8 +1597,7 @@ flow f2 route r2 r0 bucket 1 1/8 peak 1
 
     #[test]
     fn provision_allocates_reservations() {
-        let dir = std::env::temp_dir().join(format!("dnc_cli_prov_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-prov");
         let path = dir.join("prov.dnc");
         std::fs::write(
             &path,
@@ -1844,7 +1608,7 @@ flow voice route core bucket 1 1/16 peak 1 deadline 8
 ",
         )
         .unwrap();
-        let out = run(&args(&["provision", path.to_str().unwrap()])).unwrap();
+        let out = dnc(&format!("provision {}", path.display())).unwrap();
         assert!(out.contains("video"));
         assert!(out.contains("voice"));
         assert!(out.contains("reserve"), "at least one allocation: {out}");
@@ -1856,7 +1620,7 @@ flow voice route core bucket 1 1/16 peak 1 deadline 8
             "server a rate 1\nflow f route a bucket 1 1/8 deadline 5\n",
         )
         .unwrap();
-        assert!(run(&args(&["provision", fifo.to_str().unwrap()])).is_err());
+        assert!(dnc(&format!("provision {}", fifo.display())).is_err());
     }
 
     #[test]
@@ -1864,7 +1628,7 @@ flow voice route core bucket 1 1/16 peak 1 deadline 8
         // Generate the paper tandem, parse it back, and verify it matches
         // the builder exactly (same bounds).
         use dnc_net::builders::{tandem, TandemOptions};
-        let text = run(&args(&["tandem", "4", "3/5"])).unwrap();
+        let text = dnc("tandem 4 3/5").unwrap();
         let spec = crate::parse::parse_spec(&text).unwrap();
         let built = spec.build().unwrap();
         built.net.validate().unwrap();
@@ -1877,8 +1641,8 @@ flow voice route core bucket 1 1/16 peak 1 deadline 8
 
     #[test]
     fn profile_compares_all_algorithms() {
-        let p = sample_file();
-        let out = run(&args(&["profile", p.to_str().unwrap()])).unwrap();
+        let (_dir, p) = sample_file();
+        let out = dnc(&format!("profile {p}")).unwrap();
         assert!(out.contains("service-curve"));
         assert!(out.contains("decomposed"));
         assert!(out.contains("integrated"));
@@ -1889,8 +1653,8 @@ flow voice route core bucket 1 1/16 peak 1 deadline 8
 
     #[test]
     fn profile_cyclic_uses_time_stopping() {
-        let p = ring_file();
-        let out = run(&args(&["profile", p.to_str().unwrap()])).unwrap();
+        let (_dir, p) = ring_file();
+        let out = dnc(&format!("profile {p}")).unwrap();
         assert!(out.contains("(cyclic)"));
         assert!(out.contains("time-stopping"));
         assert!(out.contains("iters="), "{out}");
@@ -1898,19 +1662,11 @@ flow voice route core bucket 1 1/16 peak 1 deadline 8
 
     #[test]
     fn profile_writes_valid_metrics_and_trace() {
-        let p = sample_file();
-        let dir = p.parent().unwrap().to_path_buf();
+        let (dir, p) = sample_file();
         let metrics = dir.join("profile-metrics.json");
         let trace = dir.join("profile-trace.json");
-        let out = run(&args(&[
-            "profile",
-            p.to_str().unwrap(),
-            "--metrics",
-            metrics.to_str().unwrap(),
-            "--trace",
-            trace.to_str().unwrap(),
-        ]))
-        .unwrap();
+        let (m, t) = (metrics.display(), trace.display());
+        let out = dnc(&format!("profile {p} --metrics {m} --trace {t}")).unwrap();
         assert_eq!(out.matches("wrote ").count(), 2, "{out}");
         let mjson = std::fs::read_to_string(&metrics).unwrap();
         dnc_telemetry::schema::validate_metrics(&mjson).unwrap();
@@ -1926,34 +1682,19 @@ flow voice route core bucket 1 1/16 peak 1 deadline 8
 
     #[test]
     fn analyze_metrics_flag_writes_valid_json() {
-        let p = sample_file();
-        let dir = p.parent().unwrap().to_path_buf();
+        let (dir, p) = sample_file();
         let metrics = dir.join("analyze-metrics.json");
-        run(&args(&[
-            "analyze",
-            p.to_str().unwrap(),
-            "--algo",
-            "integrated",
-            "--metrics",
-            metrics.to_str().unwrap(),
-        ]))
-        .unwrap();
+        let m = metrics.display();
+        dnc(&format!("analyze {p} --algo integrated --metrics {m}")).unwrap();
         let mjson = std::fs::read_to_string(&metrics).unwrap();
         dnc_telemetry::schema::validate_metrics(&mjson).unwrap();
         assert!(mjson.contains("integrated/conn0"));
     }
 
     #[test]
-    fn profile_rejects_unknown_option() {
-        let p = sample_file();
-        assert!(run(&args(&["profile", p.to_str().unwrap(), "--bogus"])).is_err());
-        assert!(run(&args(&["profile", p.to_str().unwrap(), "--metrics"])).is_err());
-    }
-
-    #[test]
     fn tandem_generator_rejects_bad_params() {
-        assert!(run(&args(&["tandem", "0", "1/2"])).is_err());
-        assert!(run(&args(&["tandem", "4", "1"])).is_err());
-        assert!(run(&args(&["tandem", "4"])).is_err());
+        assert!(dnc("tandem 0 1/2").is_err());
+        assert!(dnc("tandem 4 1").is_err());
+        assert!(dnc("tandem 4").is_err());
     }
 }

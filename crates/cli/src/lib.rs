@@ -11,7 +11,12 @@
 //! dnc analyze  network.dnc --algo all   # delay bounds per connection
 //! dnc backlog  network.dnc              # buffer sizing per server
 //! dnc simulate network.dnc --ticks 8192 # adversarial simulation vs bounds
+//! dnc figure 5                          # regenerate the paper's Figure 5
+//! dnc help                              # every command, from the registry
 //! ```
+//!
+//! Every command — the analyses, `serve`, `bench`, and every harness of
+//! `dnc-bench` — is one entry of the registry in [`commands`].
 //!
 //! ## The `.dnc` format
 //!

@@ -11,16 +11,10 @@
 
 use dnc_bench::trajectory::{append_record, BenchRecord};
 use dnc_cli::commands::{run, EXIT_REGRESSION};
+use dnc_service::fs::ScratchDir;
 use dnc_telemetry::schema;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dnc_bench_cli_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+use std::path::Path;
 
 fn prior(speedup: f64) -> BenchRecord {
     BenchRecord {
@@ -33,8 +27,12 @@ fn prior(speedup: f64) -> BenchRecord {
     }
 }
 
-fn args(parts: &[&str]) -> Vec<String> {
-    parts.iter().map(|s| s.to_string()).collect()
+/// Run one `dnc` command line, its arguments split on whitespace.
+fn dnc(line: &str) -> Result<String, dnc_cli::commands::CliError> {
+    run(&line
+        .split_whitespace()
+        .map(String::from)
+        .collect::<Vec<_>>())
 }
 
 fn read_lines(path: &Path) -> Vec<String> {
@@ -47,7 +45,7 @@ fn read_lines(path: &Path) -> Vec<String> {
 
 #[test]
 fn bench_gate_trips_on_synthetic_regression_fixture() {
-    let dir = scratch("gate");
+    let dir = ScratchDir::new("bench-cli-gate");
     let bench_dir = dir.join("trajectories");
     let traj = bench_dir.join("BENCH_throughput.json");
     append_record(&traj, &prior(1.0e12)).expect("seed prior 1");
@@ -55,17 +53,10 @@ fn bench_gate_trips_on_synthetic_regression_fixture() {
 
     let out_dir = dir.join("results");
     let dash = dir.join("dashboard");
-    let err = run(&args(&[
-        "bench",
-        "--quick",
-        "--gate",
-        "--bench-dir",
-        bench_dir.to_str().unwrap(),
-        "--out-dir",
-        out_dir.to_str().unwrap(),
-        "--dashboard",
-        dash.to_str().unwrap(),
-    ]))
+    let (b, o, d) = (bench_dir.display(), out_dir.display(), dash.display());
+    let err = dnc(&format!(
+        "bench --quick --gate --bench-dir {b} --out-dir {o} --dashboard {d}"
+    ))
     .expect_err("a speedup baseline of 1e12 must trip the gate");
     assert_eq!(err.code, EXIT_REGRESSION, "dedicated gate exit code");
     assert!(
@@ -105,28 +96,21 @@ fn bench_gate_trips_on_synthetic_regression_fixture() {
         html.contains("banner bad"),
         "dashboard shows the regression"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn bench_without_gate_reports_but_does_not_fail() {
-    let dir = scratch("nogate");
+    let dir = ScratchDir::new("bench-cli-nogate");
     let bench_dir = dir.join("trajectories");
     append_record(&bench_dir.join("BENCH_throughput.json"), &prior(1.0e12)).expect("seed prior");
 
     // Same regressing fixture, no --gate: the run reports the verdict
     // in its text but exits clean.
-    let out = run(&args(&[
-        "bench",
-        "--quick",
-        "--bench-dir",
-        bench_dir.to_str().unwrap(),
-        "--out-dir",
-        dir.join("results").to_str().unwrap(),
-    ]))
+    let (b, o) = (bench_dir.display(), dir.join("results"));
+    let out = dnc(&format!(
+        "bench --quick --bench-dir {b} --out-dir {}",
+        o.display()
+    ))
     .expect("without --gate the verdict is advisory");
     assert!(out.contains("REGRESSED"), "verdict still reported:\n{out}");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

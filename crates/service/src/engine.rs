@@ -1039,6 +1039,7 @@ fn build_flow(req: &AdmitRequest) -> Result<Flow, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs::ScratchDir;
     use dnc_net::Server;
     use dnc_num::{int, rat};
     use std::path::PathBuf;
@@ -1068,17 +1069,11 @@ mod tests {
         ChurnEngine::new(base(), Vec::new(), EngineConfig::default()).unwrap()
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dnc_engine_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
-
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dnc_engine_{}_{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    /// A fresh file path, valid while the returned directory lives.
+    fn tmp(name: &str) -> (ScratchDir, PathBuf) {
+        let dir = ScratchDir::new("engine");
+        let path = dir.join(name);
+        (dir, path)
     }
 
     #[test]
@@ -1191,8 +1186,7 @@ mod tests {
 
     #[test]
     fn journal_recovery_rebuilds_identical_state() {
-        let path = tmp("recover.wal");
-        let _ = std::fs::remove_file(&path);
+        let (_scratch, path) = tmp("recover.wal");
         let digest = {
             let (mut e, info) =
                 ChurnEngine::open(base(), Vec::new(), EngineConfig::default(), &path).unwrap();
@@ -1215,8 +1209,7 @@ mod tests {
 
     #[test]
     fn group_commit_batch_matches_serial_processing_and_recovers() {
-        let path = tmp("batch.wal");
-        let _ = std::fs::remove_file(&path);
+        let (_scratch, path) = tmp("batch.wal");
         let reqs = || {
             vec![
                 admit_req("a", rat(1, 32), int(50)),
@@ -1288,7 +1281,7 @@ mod tests {
 
     #[test]
     fn snapshot_compaction_bounds_recovery_to_the_tail() {
-        let dir = tmpdir("compact");
+        let dir = ScratchDir::new("engine-compact");
         let path = dir.join("engine.wal");
         let cfg = EngineConfig {
             snapshot_every: Some(2),
@@ -1319,7 +1312,7 @@ mod tests {
     fn engine_fail_stops_after_a_storage_fault() {
         use crate::fs::{FaultFs, FaultKind};
         use std::sync::Arc;
-        let dir = tmpdir("failstop");
+        let dir = ScratchDir::new("engine-failstop");
         let path = dir.join("engine.wal");
         // Journal creation consumes sites 0..3; site 3 is the first
         // commit's append write.

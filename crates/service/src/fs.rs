@@ -18,7 +18,7 @@
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -243,17 +243,55 @@ impl StorageFs for FaultFs {
     }
 }
 
+/// A private scratch directory, removed with its contents on drop.
+///
+/// Its path is `temp_dir()/dnc-<tag>-<pid>-<n>`, where `n` is a
+/// process-wide counter, so tests and harness runs sharing one process
+/// never share a journal or a results file. This is the workspace's one
+/// way to get a temporary path (`cargo xtask deepcheck` flags any other
+/// `temp_dir()` call as `test-scratch-path`).
+#[derive(Debug)]
+pub struct ScratchDir {
+    path: PathBuf,
+}
+
+impl ScratchDir {
+    /// Create a fresh directory. Creation is best-effort: if it fails,
+    /// the first file opened inside reports the error.
+    pub fn new(tag: &str) -> ScratchDir {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("dnc-{tag}-{}-{n}", std::process::id()));
+        // A directory left by a killed process with a recycled pid.
+        let _ = std::fs::remove_dir_all(&path);
+        let _ = std::fs::create_dir_all(&path);
+        ScratchDir { path }
+    }
+
+    /// The directory.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl std::ops::Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.path);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Read;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dnc_fs_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
 
     fn open_rw(path: &Path) -> File {
         std::fs::OpenOptions::new()
@@ -266,9 +304,23 @@ mod tests {
     }
 
     #[test]
+    fn scratch_dirs_are_distinct_and_removed_on_drop() {
+        let a = ScratchDir::new("fs");
+        let b = ScratchDir::new("fs");
+        assert_ne!(a.path(), b.path());
+        assert!(a.path().is_dir() && b.path().is_dir());
+        std::fs::write(a.join("f"), b"x").unwrap();
+        let gone = a.path().to_path_buf();
+        drop(a);
+        assert!(!gone.exists());
+        assert!(b.path().is_dir());
+    }
+
+    #[test]
     fn probe_counts_sites_without_faulting() {
         let fs = FaultFs::probe();
-        let path = tmp("probe.bin");
+        let dir = ScratchDir::new("fs");
+        let path = dir.join("probe.bin");
         let mut f = open_rw(&path);
         fs.write(&mut f, b"hello").unwrap();
         fs.sync_data(&f).unwrap();
@@ -281,7 +333,8 @@ mod tests {
     #[test]
     fn short_write_persists_half_then_fails_stop() {
         let fs = FaultFs::new(0, FaultKind::ShortWrite);
-        let path = tmp("short.bin");
+        let dir = ScratchDir::new("fs");
+        let path = dir.join("short.bin");
         let mut f = open_rw(&path);
         assert!(fs.write(&mut f, b"abcdef").is_err());
         let mut got = String::new();
@@ -297,7 +350,8 @@ mod tests {
     fn crash_before_performs_nothing_crash_after_performs_all() {
         for (kind, want) in [(FaultKind::CrashBefore, ""), (FaultKind::CrashAfter, "xy")] {
             let fs = FaultFs::new(0, kind);
-            let path = tmp("crash.bin");
+            let dir = ScratchDir::new("fs");
+            let path = dir.join("crash.bin");
             let mut f = open_rw(&path);
             assert!(fs.write(&mut f, b"xy").is_err(), "{kind}");
             let mut got = String::new();
@@ -309,7 +363,8 @@ mod tests {
     #[test]
     fn fault_at_later_site_spares_earlier_calls() {
         let fs = FaultFs::new(2, FaultKind::Eio);
-        let path = tmp("later.bin");
+        let dir = ScratchDir::new("fs");
+        let path = dir.join("later.bin");
         let mut f = open_rw(&path);
         fs.write(&mut f, b"a").unwrap();
         fs.sync_data(&f).unwrap();
@@ -320,8 +375,9 @@ mod tests {
     #[test]
     fn rename_and_remove_are_mediated() {
         let fs = FaultFs::new(u64::MAX, FaultKind::Eio);
-        let a = tmp("move_a.bin");
-        let b = tmp("move_b.bin");
+        let dir = ScratchDir::new("fs");
+        let a = dir.join("move_a.bin");
+        let b = dir.join("move_b.bin");
         std::fs::write(&a, b"payload").unwrap();
         fs.rename(&a, &b).unwrap();
         assert!(!a.exists() && b.exists());

@@ -434,18 +434,12 @@ fn write_loop(stream: TcpStream, replies: Receiver<String>, write_timeout: Durat
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, Response};
+    use crate::fs::ScratchDir;
     use crate::journal::{Journal, Op};
     use crate::request::Request;
     use dnc_net::{Network, Server};
     use std::net::SocketAddr;
     use std::path::PathBuf;
-
-    fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dnc_server_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn base() -> Network {
         let mut net = Network::new();
@@ -523,7 +517,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients_group_commit_and_replay_in_ack_order() {
-        let dir = scratch("concurrent");
+        let dir = ScratchDir::new("server-concurrent");
         let wal = dir.join("wal");
         let (addr, server) = spawn_server(
             wal.clone(),
@@ -576,13 +570,12 @@ mod tests {
         for c in 0..4 {
             assert!(admitted.contains(&format!("c{c}b")), "{admitted:?}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn storage_failure_answers_clients_with_terminal_err() {
         use crate::fs::{FaultFs, FaultKind};
-        let dir = scratch("failstop");
+        let dir = ScratchDir::new("server-failstop");
         let wal = dir.join("wal");
         // Journal creation consumes sites 0..3; site 3 is the first
         // commit's append write.
@@ -617,12 +610,11 @@ mod tests {
             ChurnEngine::open(base(), Vec::new(), EngineConfig::default(), &wal).unwrap();
         assert_eq!(info.committed_seq, 0);
         assert_eq!(recovered.network().flows().len(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn connection_cap_rejects_with_err_line() {
-        let dir = scratch("cap");
+        let dir = ScratchDir::new("server-cap");
         let (addr, server) = spawn_server(
             dir.join("wal"),
             ServerConfig {
@@ -642,12 +634,11 @@ mod tests {
         assert_eq!(bye, [GOODBYE_LINE.to_string()]);
         let (_, report) = server.join().unwrap().unwrap();
         assert_eq!(report.rejected_connections, 1, "{report:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn protocol_errors_answer_in_order_and_do_not_kill_the_connection() {
-        let dir = scratch("proto");
+        let dir = ScratchDir::new("server-proto");
         let (addr, server) = spawn_server(dir.join("wal"), ServerConfig::default());
         let got = send_script(
             addr,
@@ -668,6 +659,5 @@ mod tests {
         let (_, report) = server.join().unwrap().unwrap();
         assert_eq!(report.protocol_errors, 2, "{report:?}");
         assert_eq!(report.requests, 2, "{report:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

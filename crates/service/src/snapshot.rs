@@ -490,17 +490,10 @@ pub fn recover(path: &Path, fs: crate::fs::StorageHandle) -> Result<Recovered, R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fs::{FaultFs, FAULT_KINDS};
+    use crate::fs::{FaultFs, ScratchDir, FAULT_KINDS};
     use dnc_net::ServerId;
     use dnc_num::{int, rat};
     use std::sync::Arc;
-
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dnc_snap_{}_{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn admit(name: &str) -> AdmitOp {
         AdmitOp {
@@ -524,7 +517,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_publish_and_load() {
-        let dir = tmpdir("round");
+        let dir = ScratchDir::new("snap-round");
         let jpath = dir.join("engine.wal");
         let snap = sample(1, 7);
         let path = publish_snapshot(&crate::fs::RealFs, &jpath, &snap).unwrap();
@@ -535,7 +528,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_damage() {
-        let dir = tmpdir("damage");
+        let dir = ScratchDir::new("snap-damage");
         let jpath = dir.join("engine.wal");
         let path = publish_snapshot(&crate::fs::RealFs, &jpath, &sample(1, 3)).unwrap();
         let good = std::fs::read(&path).unwrap();
@@ -561,7 +554,7 @@ mod tests {
         // nothing or a complete, decodable snapshot.
         for kind in FAULT_KINDS {
             for site in 0..4u64 {
-                let dir = tmpdir("atomic");
+                let dir = ScratchDir::new("snap-atomic");
                 let jpath = dir.join("engine.wal");
                 let fs = FaultFs::new(site, kind);
                 let snap = sample(1, 5);
@@ -586,7 +579,7 @@ mod tests {
 
     #[test]
     fn scan_orders_newest_first_and_ignores_debris() {
-        let dir = tmpdir("scan");
+        let dir = ScratchDir::new("snap-scan");
         let jpath = dir.join("engine.wal");
         for gen in [1u64, 3, 2] {
             publish_snapshot(&crate::fs::RealFs, &jpath, &sample(gen, gen * 10)).unwrap();
@@ -599,7 +592,7 @@ mod tests {
 
     #[test]
     fn prune_keeps_current_and_previous_generations() {
-        let dir = tmpdir("prune");
+        let dir = ScratchDir::new("snap-prune");
         let jpath = dir.join("engine.wal");
         for gen in 1..=4u64 {
             publish_snapshot(&crate::fs::RealFs, &jpath, &sample(gen, gen)).unwrap();
@@ -611,7 +604,7 @@ mod tests {
 
     #[test]
     fn recover_prefers_newest_snapshot_and_replays_only_the_tail() {
-        let dir = tmpdir("recover_tail");
+        let dir = ScratchDir::new("snap-recover_tail");
         let jpath = dir.join("engine.wal");
         let mut j = Journal::create(&jpath).unwrap();
         j.append(&Op::Admit(admit("a"))).unwrap();
@@ -636,7 +629,7 @@ mod tests {
 
     #[test]
     fn recover_falls_back_past_a_torn_snapshot() {
-        let dir = tmpdir("recover_torn");
+        let dir = ScratchDir::new("snap-recover_torn");
         let jpath = dir.join("engine.wal");
         let mut j = Journal::create(&jpath).unwrap();
         j.append(&Op::Admit(admit("a"))).unwrap();
@@ -668,7 +661,7 @@ mod tests {
         // Crash window: snapshot published, journal moved aside, fresh
         // segment never renamed in. The active journal is missing; the
         // `.prev` segment plus the snapshot must reconstruct state.
-        let dir = tmpdir("recover_stitch");
+        let dir = ScratchDir::new("snap-recover_stitch");
         let jpath = dir.join("engine.wal");
         let mut j = Journal::create(&jpath).unwrap();
         j.append(&Op::Admit(admit("a"))).unwrap();
@@ -707,7 +700,7 @@ mod tests {
         // never taken — the newest snapshot's seq falls inside `.prev`.
         // (Normally the snapshot seq equals the rotation point; this
         // exercises the general stitch.)
-        let dir = tmpdir("recover_prev_mid");
+        let dir = ScratchDir::new("snap-recover_prev_mid");
         let jpath = dir.join("engine.wal");
         let mut j = Journal::create(&jpath).unwrap();
         j.append(&Op::Admit(admit("a"))).unwrap();
@@ -741,7 +734,7 @@ mod tests {
 
     #[test]
     fn recover_refuses_a_tail_segment_with_no_covering_snapshot() {
-        let dir = tmpdir("recover_refuse");
+        let dir = ScratchDir::new("snap-recover_refuse");
         let jpath = dir.join("engine.wal");
         let mut j = Journal::create_at(&jpath, crate::fs::real(), 3, 40).unwrap();
         j.append(&Op::Admit(admit("z"))).unwrap();
@@ -754,7 +747,7 @@ mod tests {
 
     #[test]
     fn recover_full_replay_when_no_snapshot_exists() {
-        let dir = tmpdir("recover_full");
+        let dir = ScratchDir::new("snap-recover_full");
         let jpath = dir.join("engine.wal");
         let mut j = Journal::create(&jpath).unwrap();
         j.append(&Op::Admit(admit("a"))).unwrap();
@@ -773,7 +766,7 @@ mod tests {
         // real-backend recovery must still see both committed ops.
         for kind in FAULT_KINDS {
             for site in 0..12u64 {
-                let dir = tmpdir("faulted_pub");
+                let dir = ScratchDir::new("snap-faulted_pub");
                 let jpath = dir.join("engine.wal");
                 let mut j = Journal::create(&jpath).unwrap();
                 j.append(&Op::Admit(admit("a"))).unwrap();
@@ -812,7 +805,7 @@ mod tests {
 
     #[test]
     fn recover_handles_fresh_directory() {
-        let dir = tmpdir("recover_fresh");
+        let dir = ScratchDir::new("snap-recover_fresh");
         let jpath = dir.join("engine.wal");
         let r = recover(&jpath, crate::fs::real()).unwrap();
         assert!(r.snapshot.is_none());

@@ -17,6 +17,7 @@
 //! whatever arrives together, so batch boundaries shift run to run —
 //! the invariants may not depend on them.
 
+use dnc_service::fs::ScratchDir;
 use dnc_service::server::{run, ServerConfig};
 use dnc_service::{ChurnEngine, EngineConfig, Journal, Op, Request, Response};
 use proptest::prelude::*;
@@ -24,16 +25,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dnc_group_commit_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(format!("{tag}.wal"))
-}
 
 fn base() -> dnc_net::Network {
     let mut net = dnc_net::Network::new();
@@ -128,8 +122,8 @@ proptest! {
     ) {
         const CLIENTS: usize = 4;
         const OPS: usize = 10;
-        let wal = scratch(&format!("s{seed}b{batch}"));
-        let _ = std::fs::remove_file(&wal);
+        let dir = ScratchDir::new("group-commit");
+        let wal = dir.join("wal");
         let (engine, _) = ChurnEngine::open(base(), Vec::new(), EngineConfig::default(), &wal)
             .expect("fresh journal opens");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -222,6 +216,5 @@ proptest! {
         let (recovered, _) = ChurnEngine::open(base(), Vec::new(), EngineConfig::default(), &wal)
             .expect("journal recovers");
         prop_assert_eq!(recovered.state_digest(), served.state_digest());
-        let _ = std::fs::remove_file(&wal);
     }
 }

@@ -10,11 +10,11 @@
 use dnc_net::builders::{tandem, TandemOptions};
 use dnc_net::ServerId;
 use dnc_num::Rat;
+use dnc_service::fs::ScratchDir;
 use dnc_service::{AdmitRequest, ChurnEngine, EngineConfig, Request};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
 
 fn draw_requests(seed: u64, n: usize, ops: usize) -> Vec<Request> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -49,13 +49,6 @@ fn draw_requests(seed: u64, n: usize, ops: usize) -> Vec<Request> {
         .collect()
 }
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dnc_prop_snap_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -66,7 +59,7 @@ proptest! {
     ) {
         let n = 4;
         let base = tandem(n, Rat::ONE, Rat::new(1, 16), TandemOptions::default()).net;
-        let dir = scratch(&format!("{seed}_{every}"));
+        let dir = ScratchDir::new("prop-snap");
         let full_wal = dir.join("full.wal");
         let snap_wal = dir.join("snap.wal");
         let cfg = |snapshot_every| EngineConfig {
@@ -122,6 +115,5 @@ proptest! {
                 every
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

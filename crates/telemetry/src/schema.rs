@@ -238,7 +238,7 @@ pub fn validate_metrics(input: &str) -> Result<(), String> {
 }
 
 /// Schema identifier of perf-trajectory records (the repo-root
-/// `BENCH_*.json` files appended by `cargo xtask bench`).
+/// `BENCH_*.json` files appended by `dnc bench`).
 pub const BENCH_SCHEMA: &str = "dnc-bench/v1";
 
 fn bench_string_map(doc: &Value, key: &str) -> Result<(), String> {

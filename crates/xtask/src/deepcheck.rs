@@ -10,6 +10,7 @@
 //! | concurrency   | `conc-thread-local`, `conc-panic-payload` | `fan_out` jobs stay thread-local-clean    |
 //! | durability    | `dur-fsync`, `dur-framing`, `dur-group-ack`, `dur-atomic-publish` | fsync-before-ack; single-sourced framing; commit-dominated ack sink; crash-atomic snapshot publish |
 //! | contract      | `contract-exit`, `contract-span`, `contract-curve-eq` | unified exit codes; RAII spans held open; canonical curve equality |
+//! | hermeticity   | `test-scratch-path`                     | every temporary path comes from `ScratchDir` |
 //!
 //! All passes share the `// audit: allow(<lint>, <reason>)` escape hatch,
 //! but deepcheck lints must be named explicitly — blanket `allow(all)`
@@ -36,6 +37,7 @@ pub const DEEPCHECK_LINTS: &[&str] = &[
     "contract-exit",
     "contract-span",
     "contract-curve-eq",
+    "test-scratch-path",
 ];
 
 /// Files whose functions are *emit roots*: anything reachable from them
@@ -108,6 +110,9 @@ const CRC_NEEDLE: &str = "0xedb88320";
 /// The one file allowed to define exit-code integer constants.
 const EXIT_TABLE: &str = "crates/bench/src/exit.rs";
 
+/// The one type whose `impl` blocks may call `temp_dir()`.
+const SCRATCH_TYPE: &str = "ScratchDir";
+
 /// Run every deepcheck pass over `files` and return the findings
 /// (unsorted; the caller sorts alongside allow records).
 pub fn run(files: &[ScannedFile]) -> Vec<Finding> {
@@ -123,6 +128,7 @@ pub fn run(files: &[ScannedFile]) -> Vec<Finding> {
     lint_contract_exit(files, &mut out);
     lint_contract_span(files, &mut out);
     lint_contract_curve_eq(files, &mut out);
+    lint_test_scratch_path(files, &mut out);
     // Distinct passes can rediscover the same site (e.g. two fan_out
     // call sites reaching one bad function); report each site once.
     out.sort_by(|a, b| {
@@ -148,7 +154,20 @@ fn in_scope(path: &str) -> bool {
 /// Emit a finding unless the line is test code or carries a *named*
 /// allow (blanket `all` does not satisfy deepcheck lints).
 fn emit(file: &ScannedFile, out: &mut Vec<Finding>, line: usize, lint: &str, message: String) {
-    if file.line_in_test(line) || file.allowed_named(line, lint) {
+    if !file.line_in_test(line) {
+        emit_in_tests_too(file, out, line, lint, message);
+    }
+}
+
+/// [`emit`] for the lints that police test code itself.
+fn emit_in_tests_too(
+    file: &ScannedFile,
+    out: &mut Vec<Finding>,
+    line: usize,
+    lint: &str,
+    message: String,
+) {
+    if file.allowed_named(line, lint) {
         return;
     }
     out.push(Finding {
@@ -1053,6 +1072,63 @@ fn lint_contract_curve_eq(files: &[ScannedFile], out: &mut Vec<Finding>) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Hermeticity: test-scratch-path
+// ---------------------------------------------------------------------------
+
+/// Token ranges of the `impl … ScratchDir … { … }` blocks in `toks`.
+fn scratch_impls(toks: &[Token]) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
+    for i in (0..toks.len()).filter(|&i| toks[i].is_ident("impl")) {
+        let Some(open) = (i..toks.len()).find(|&j| toks[j].is_punct('{')) else {
+            continue;
+        };
+        if toks[i..open].iter().any(|t| t.is_ident(SCRATCH_TYPE)) {
+            let mut depth = 0i64;
+            let close = (open..toks.len()).find(|&j| {
+                depth += i64::from(toks[j].is_punct('{')) - i64::from(toks[j].is_punct('}'));
+                depth == 0
+            });
+            out.extend(close.map(|close| open..close));
+        }
+    }
+    out
+}
+
+/// Two tests in one process that build the same `temp_dir()` path race
+/// on it: one truncates or deletes the other's files. Every temporary
+/// path must come from `ScratchDir` (pid + process-wide counter,
+/// removed on drop), so any other `temp_dir()` call is flagged — in
+/// `#[cfg(test)]` modules and `tests/` trees too, which no other lint
+/// scans.
+fn lint_test_scratch_path(files: &[ScannedFile], out: &mut Vec<Finding>) {
+    for file in files {
+        if file.path.split('/').any(|seg| seg == "fixtures") {
+            continue;
+        }
+        let toks = &file.tokens;
+        let home = scratch_impls(toks);
+        for (i, t) in toks.iter().enumerate() {
+            if !t.is_ident("temp_dir")
+                || !toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+                || (i > 0 && toks[i - 1].is_ident("fn"))
+                || home.iter().any(|r| r.contains(&i))
+            {
+                continue;
+            }
+            emit_in_tests_too(
+                file,
+                out,
+                t.line,
+                "test-scratch-path",
+                "raw `temp_dir()` path; concurrent tests in one process can share it — \
+                 use `dnc_service::fs::ScratchDir` (unique per call, removed on drop)"
+                    .to_string(),
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1497,6 +1573,16 @@ mod tests {
                 ],
             ),
             ("curve_eq_negative.rs", "crates/fixture/src/delta.rs", &[]),
+            (
+                "scratch_positive.rs",
+                "crates/fixture/tests/store.rs",
+                &[
+                    "test-scratch-path",
+                    "test-scratch-path",
+                    "test-scratch-path",
+                ],
+            ),
+            ("scratch_negative.rs", "crates/fixture/src/fs.rs", &[]),
         ];
         for &(name, path, expected) in cases {
             let files = vec![fixture(name, path)];
@@ -1542,6 +1628,16 @@ mod tests {
             .join("service/src")
             .join(name);
         std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("cannot read {}: {e}", p.display()))
+    }
+
+    #[test]
+    fn real_scratch_helper_is_clean_until_moved_out_of_its_impl() {
+        let src = service_source("fs.rs");
+        let path = "crates/service/src/fs.rs";
+        assert!(run(&[scan(path, &src)]).is_empty());
+        let moved = src.replacen("impl ScratchDir {", "impl Elsewhere {", 1);
+        let findings = run(&[scan(path, &moved)]);
+        assert_eq!(lints_of(&findings), ["test-scratch-path"], "{findings:?}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! identical bounds for every algorithm; any divergence is a soundness
 //! bug in a fast path or memo and fails the task with
 //! [`exit::VIOLATION`]. The wall-time ratio is reported for context
-//! but never gated here (that's `cargo xtask bench --gate`'s job).
+//! but never gated here (that is `dnc bench --gate`'s job).
 //!
 //! The kernel-off pass runs first: the interner's arena and the global
 //! memo tables warm monotonically per process, so running the general

@@ -24,10 +24,9 @@
 //! `cargo xtask validate-trace <file>...` (CI runs both on the
 //! `dnc profile` smoke outputs), plus
 //! `cargo xtask validate-bench [--shape] <file>...` for the
-//! `dnc-bench/v1` perf trajectories that `cargo xtask bench` appends
-//! (see `bench.rs` and DESIGN §15).
+//! `dnc-bench/v1` perf trajectories that `dnc bench` appends (see
+//! DESIGN §15).
 
-mod bench;
 mod deepcheck;
 mod index;
 mod kernel_bench;
@@ -90,7 +89,7 @@ fn main() -> ExitCode {
     let (cmd, flags) = match args.split_first() {
         Some((c, rest)) => (c.as_str(), rest),
         None => {
-            eprintln!("usage: cargo xtask <audit [--json] | deepcheck [--json] | bench [flags] | kernel-bench [flags] | validate-metrics <file>... | validate-trace <file>... | validate-bench [--shape] <file>...>");
+            eprintln!("usage: cargo xtask <audit [--json] | deepcheck [--json] | kernel-bench [flags] | validate-metrics <file>... | validate-trace <file>... | validate-bench [--shape] <file>...>");
             return ExitCode::FAILURE;
         }
     };
@@ -107,7 +106,6 @@ fn main() -> ExitCode {
                 deepcheck_cmd(json)
             }
         }
-        "bench" => bench::bench_cmd(flags),
         "kernel-bench" => kernel_bench::kernel_bench_cmd(flags),
         "validate-metrics" => validate_files(cmd, flags, dnc_telemetry::schema::validate_metrics),
         "validate-trace" => validate_files(cmd, flags, dnc_telemetry::schema::validate_trace),
@@ -122,7 +120,7 @@ fn main() -> ExitCode {
         }
         other => {
             eprintln!(
-                "xtask: unknown task `{other}` (tasks: audit, deepcheck, bench, kernel-bench, validate-metrics, validate-trace, validate-bench)"
+                "xtask: unknown task `{other}` (tasks: audit, deepcheck, kernel-bench, validate-metrics, validate-trace, validate-bench)"
             );
             ExitCode::FAILURE
         }
