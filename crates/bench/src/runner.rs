@@ -289,6 +289,10 @@ pub fn run_bench(opts: &BenchOptions) -> std::io::Result<BenchSummary> {
             format!("throughput.{}.admissions_per_sec", mode.label),
             mode.admissions_per_sec,
         );
+        throughput_record.metrics.insert(
+            format!("throughput.{}.units", mode.label),
+            mode.units as f64,
+        );
     }
     throughput_record
         .metrics
@@ -296,10 +300,6 @@ pub fn run_bench(opts: &BenchOptions) -> std::io::Result<BenchSummary> {
     throughput_record.metrics.insert(
         "throughput.mismatches".to_string(),
         tp.mismatches.len() as f64,
-    );
-    throughput_record.metrics.insert(
-        "throughput.cache_entries".to_string(),
-        tp.cache_entries as f64,
     );
     if let Some(base) = tp.mode("scratch-seq") {
         throughput_record
@@ -579,19 +579,25 @@ mod tests {
             let text = std::fs::read_to_string(path).unwrap();
             dnc_telemetry::schema::validate_bench(&text).unwrap();
         }
-        // The throughput stages share one analysis cache, so the
-        // record must show real reuse, not the perpetual zero that
-        // per-stage private caches used to report: the shared cache
-        // retains entries in every build, and the derived
-        // `cache.hit_rate` is present whenever counters are compiled
-        // in (the telemetry feature — CI's bench-record job).
+        // The record carries each throughput mode's computed pairing
+        // units, and incremental re-certification computes strictly
+        // fewer than from-scratch. The derived `cache.hit_rate` is
+        // present whenever counters are compiled in (the telemetry
+        // feature — CI's bench-record job).
         let records = load_trajectory(&summary.trajectory_paths[0]).unwrap();
-        let entries = records[0]
-            .metrics
-            .get("throughput.cache_entries")
-            .copied()
-            .unwrap_or(0.0);
-        assert!(entries > 0.0, "shared cache memoized nothing: {entries}");
+        let units = |mode: &str| {
+            records[0]
+                .metrics
+                .get(&format!("throughput.{mode}.units"))
+                .copied()
+                .unwrap_or(0.0)
+        };
+        assert!(
+            units("incremental") < units("scratch-seq"),
+            "incremental {} units, scratch-seq {}",
+            units("incremental"),
+            units("scratch-seq")
+        );
         if cfg!(feature = "telemetry") {
             let rate = records[0]
                 .metrics

@@ -794,24 +794,11 @@ fn profile(a: &Args) -> Result<String, CliError> {
         });
     } else {
         for alg in algorithms("all", 1)? {
-            let name = alg.name();
-            if name == "integrated" {
-                // Profile the cached path so the hit-rate column reflects
-                // what analyze/serve/churn actually run.
-                run_one(name, &|net| {
-                    let cache = dnc_core::cache::AnalysisCache::new();
-                    Integrated::paper()
-                        .analyze_with(net, Some(&cache))
-                        .map(|r| (r, String::new()))
-                        .map_err(|e| e.to_string())
-                });
-            } else {
-                run_one(name, &|net| {
-                    alg.analyze(net)
-                        .map(|r| (r, String::new()))
-                        .map_err(|e| e.to_string())
-                });
-            }
+            run_one(alg.name(), &|net| {
+                alg.analyze(net)
+                    .map(|r| (r, String::new()))
+                    .map_err(|e| e.to_string())
+            });
         }
     }
 
@@ -841,12 +828,15 @@ fn profile(a: &Args) -> Result<String, CliError> {
         ],
     );
     for r in &rows {
+        // Display-only, never fed back into the analysis: the exact
+        // quotient of two long-path bounds can overflow `Rat`, so divide
+        // the rounded values.
         let ratio = match (r.bound, best) {
-            (Some(b), Some(best)) if best.is_positive() => Some(b / best),
+            (Some(b), Some(best)) if best.is_positive() => Some(b.to_f64() / best.to_f64()),
             _ => None,
         };
         let ratio_text = match (r.bound, ratio) {
-            (Some(_), Some(q)) => format!("{:.2}x", q.to_f64()),
+            (Some(_), Some(q)) => format!("{q:.2}x"),
             (Some(_), None) => "1.00x".to_string(), // every bound is zero
             (None, _) => "-".to_string(),
         };
@@ -869,7 +859,7 @@ fn profile(a: &Args) -> Result<String, CliError> {
         algo_series.push_row(vec![
             Cell::Text(r.name.to_string()),
             r.bound.map_or(Cell::Null, |b| Cell::Num(b.to_f64())),
-            ratio.map_or(Cell::Null, |q| Cell::Num(q.to_f64())),
+            ratio.map_or(Cell::Null, Cell::Num),
             Cell::int(r.wall_us),
             hit_rate.map_or(Cell::Null, Cell::Num),
         ]);
@@ -1649,6 +1639,23 @@ flow voice route core bucket 1 1/16 peak 1 deadline 8
         assert!(out.contains("vs best"));
         // Exactly one algorithm is the 1.00x baseline (or all tie).
         assert!(out.contains("1.00x"), "{out}");
+    }
+
+    #[test]
+    fn profile_of_a_long_tandem_exits_zero() {
+        // The exact quotient of two n = 20 bounds overflows `Rat`; the
+        // display-only "vs best" column must not abort the command.
+        let dir = ScratchDir::new("cli-tandem20");
+        let path = dir.join("t20.dnc");
+        std::fs::write(&path, dnc("tandem 20 3/10").unwrap()).unwrap();
+        let out = dnc(&format!("profile {}", path.display())).unwrap();
+        let algos = ["service-curve", "decomposed", "integrated"];
+        let rows = out
+            .lines()
+            .filter(|l| algos.iter().any(|a| l.starts_with(a)))
+            .count();
+        assert_eq!(rows, 3, "{out}");
+        assert!(!out.contains("failed"), "{out}");
     }
 
     #[test]

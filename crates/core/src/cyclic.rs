@@ -22,16 +22,29 @@
 //! bound (the method's stability region is exceeded; reported as
 //! non-convergence, *not* as a valid bound).
 
-use crate::cache::{cached_local_delay, cap_word, AnalysisCache};
+use crate::fifo::cap_word;
 use crate::propagate::Propagation;
 use crate::{fifo, sp, AnalysisError, AnalysisReport, FlowReport, OutputCap};
-use dnc_curves::cache::CacheKey;
-use dnc_curves::CurveError;
+use dnc_curves::cache::{CacheKey, CurveCache};
+use dnc_curves::intern::{self, CurveId};
+use dnc_curves::{Curve, CurveError};
 use dnc_net::{Discipline, FlowId, Network, ServerId};
 use dnc_num::Rat;
+use std::sync::LazyLock;
 
 /// One server's recomputed `(flow, hop index, local delay)` triples.
 type ServerUpdates = Vec<(FlowId, usize, Rat)>;
+
+/// Memo for the time-stopping entry envelopes, keyed by (source curve,
+/// delay prefix, rate prefix, output cap, hop). The prefix repeats
+/// verbatim between passes wherever upstream delays have converged.
+static ENTRY_MEMO: LazyLock<CurveCache<CurveId>> = LazyLock::new(CurveCache::default);
+
+/// The envelope memoized under `key`, computed by `compute` on a miss.
+fn entry_curve(key: CacheKey, compute: impl FnOnce() -> Curve) -> Curve {
+    let id = ENTRY_MEMO.get_or_insert_with(key, || intern::intern(&compute()));
+    (*intern::resolve(id)).clone()
+}
 
 /// Result of a time-stopping run.
 ///
@@ -161,10 +174,6 @@ impl TimeStopping {
             Some(g) => g.effective_iters(self.max_iters),
             None => self.max_iters,
         };
-        // Per-run memo table: entry envelopes and local delays repeat
-        // verbatim between passes wherever the upstream delay prefix has
-        // already converged, which is most of the network on late passes.
-        let cache = AnalysisCache::new();
         let mut iterations = 0;
         let mut converged = false;
         while iterations < max_iters {
@@ -174,7 +183,7 @@ impl TimeStopping {
             iterations += 1;
             let new_delays = {
                 let _iter = dnc_telemetry::span("core.time_stopping.pass");
-                self.one_pass(net, &delays, &cache)?
+                self.one_pass(net, &delays)?
             };
             // Per-iteration residual: the largest per-hop delay growth this
             // pass (zero exactly at the fixed point).
@@ -227,16 +236,11 @@ impl TimeStopping {
     /// ([`TimeStopping::workers`]) and the ordered merge writes each
     /// `(flow, hop)` slot exactly once — results are bit-identical for
     /// any worker count.
-    fn one_pass(
-        &self,
-        net: &Network,
-        delays: &[Vec<Rat>],
-        cache: &AnalysisCache,
-    ) -> Result<Vec<Vec<Rat>>, AnalysisError> {
+    fn one_pass(&self, net: &Network, delays: &[Vec<Rat>]) -> Result<Vec<Vec<Rat>>, AnalysisError> {
         // Characterize flow `i` at hop `h` by shifting its source curve
-        // through the *current* upstream delay estimates. Memoized on the
-        // (source curve, delay prefix, rate prefix, cap) chain: across
-        // passes the prefix is unchanged wherever upstream has converged.
+        // through the *current* upstream delay estimates (memoized, see
+        // `ENTRY_MEMO`; under `debug-invariants` every answer is checked
+        // against the uncached fold).
         let curve_at = |i: usize, h: usize| {
             let f = &net.flows()[i]; // audit: allow(index, delay tables are sized per flow and route length; i/k/h index the same network)
             let spec = f.spec.arrival_curve();
@@ -246,7 +250,7 @@ impl TimeStopping {
                 .rat_seq(f.route.iter().take(h).map(|&srv| net.server(srv).rate))
                 .word(cap_word(self.cap))
                 .word(h as u64);
-            cache.entry_curve(key, || {
+            let fold = || {
                 let mut c = spec.clone();
                 for (k, &srv) in f.route.iter().enumerate().take(h) {
                     let rate = net.server(srv).rate;
@@ -254,7 +258,10 @@ impl TimeStopping {
                     c = fifo::propagate_output(&c, delays[i][k], rate, self.cap);
                 }
                 c
-            })
+            };
+            let c = entry_curve(key, fold);
+            dnc_curves::invariant::same_as_general("core.ts_entry", &c, fold);
+            c
         };
 
         // Pure per-server update: (flow, hop, new delay) triples.
@@ -265,7 +272,7 @@ impl TimeStopping {
                 return Ok(Vec::new());
             }
             let srv = net.server(server);
-            let curves: Vec<(FlowId, dnc_curves::Curve)> = incident
+            let curves: Vec<(FlowId, Curve)> = incident
                 .iter()
                 .map(|&f| {
                     let h = net.hop_index(f, server).expect("incident"); // audit: allow(expect, f is drawn from the flows incident to server, so hop_index is Some)
@@ -275,7 +282,7 @@ impl TimeStopping {
             let per_flow: Vec<(FlowId, Rat)> = match srv.discipline {
                 Discipline::Fifo => {
                     let g = fifo::aggregate_curve(curves.iter().map(|(_, c)| c));
-                    let d = match cached_local_delay(Some(cache), &g, srv.rate, server) {
+                    let d = match fifo::local_delay(&g, srv.rate, server) {
                         Ok(d) => d,
                         Err(AnalysisError::Curve {
                             source: CurveError::Unstable { .. },
@@ -357,6 +364,23 @@ mod tests {
     use dnc_net::{Flow, Server};
     use dnc_num::{int, rat};
     use dnc_traffic::TrafficSpec;
+
+    #[test]
+    fn entry_curve_memoizes() {
+        let spec = Curve::token_bucket(int(2), rat(1, 4));
+        let key = || CacheKey::new("test_entry").curve(&spec).rat(int(3));
+        let mut computed = 0;
+        let a = entry_curve(key(), || {
+            computed += 1;
+            spec.shift_left(int(3))
+        });
+        let b = entry_curve(key(), || {
+            computed += 1;
+            Curve::zero()
+        });
+        assert_eq!(a, b, "hit returns the memoized curve");
+        assert_eq!(computed, 1);
+    }
 
     /// A 3-server ring: flow k enters at server k and traverses two
     /// consecutive servers (wrapping), creating a dependency cycle.

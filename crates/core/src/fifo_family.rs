@@ -33,7 +33,7 @@ use dnc_curves::intern::{self, CurveId};
 use dnc_curves::{bounds, minplus, Curve};
 use dnc_net::{Discipline, FlowId, Network};
 use dnc_num::Rat;
-use std::sync::OnceLock;
+use std::sync::LazyLock;
 
 /// Memo for [`family_curve`]: the coordinate descent rebuilds the same
 /// `(rate, α_cross, θ)` members over and over (only one hop's θ moves
@@ -42,7 +42,7 @@ use std::sync::OnceLock;
 /// allocation path of the whole analysis. Keyed by interned curve id +
 /// the two rationals; values are interned ids (pure function of the
 /// key, so the global table is sound and bit-identity is preserved).
-static FAMILY_MEMO: OnceLock<CurveCache<CurveId>> = OnceLock::new();
+static FAMILY_MEMO: LazyLock<CurveCache<CurveId>> = LazyLock::new(CurveCache::default);
 
 /// Build the (monotonized, ramp-capped) family member `β_θ` from a
 /// nondecreasing cross-traffic constraint; the `future_min` pass makes the
@@ -50,21 +50,22 @@ static FAMILY_MEMO: OnceLock<CurveCache<CurveId>> = OnceLock::new();
 pub fn family_curve(rate: Rat, alpha_cross: &Curve, theta: Rat) -> Curve {
     assert!(rate.is_positive(), "family_curve: rate must be positive");
     assert!(!theta.is_negative(), "family_curve: θ must be non-negative");
-    if intern::kernel_enabled() {
-        let key = CacheKey::new("core.family_curve")
-            .curve(alpha_cross)
-            .rat(rate)
-            .rat(theta);
-        let memo = FAMILY_MEMO.get_or_init(CurveCache::default);
-        let out = memo.get_or_insert_with(key, || {
-            intern::intern(&family_curve_core(rate, alpha_cross, theta))
-        });
-        return (*intern::resolve(out)).clone();
-    }
-    family_curve_core(rate, alpha_cross, theta)
+    let key = CacheKey::new("core.family_curve")
+        .curve(alpha_cross)
+        .rat(rate)
+        .rat(theta);
+    let out = FAMILY_MEMO.get_or_insert_with(key, || {
+        intern::intern(&family_curve_core(rate, alpha_cross, theta))
+    });
+    let out = (*intern::resolve(out)).clone();
+    dnc_curves::invariant::same_as_general("family_curve", &out, || {
+        family_curve_core(rate, alpha_cross, theta)
+    });
+    out
 }
 
-/// The uncached [`family_curve`] construction.
+/// The uncached [`family_curve`] construction (charges no budget, opens
+/// no span).
 fn family_curve_core(rate: Rat, alpha_cross: &Curve, theta: Rat) -> Curve {
     let base = Curve::rate(rate).sub(&alpha_cross.shift_right_hold(theta));
     // Steep ramp enforcing the `1_{t > θ}` indicator; K > C makes the cap

@@ -53,23 +53,26 @@
 //! * **parallel fan-out** ([`Integrated::workers`]) — independent units
 //!   of the same dependency depth compute on scoped threads, results
 //!   merge in unit order, so reports are bit-identical to sequential;
-//! * **memoization** ([`Integrated::analyze_with`] with an
-//!   [`AnalysisCache`]) — pair bounds and local delays are pure
-//!   functions of their operand curves, keyed structurally;
+//! * **memoization** — the pair bound is a pure function of its
+//!   operand curves, so [`pair_delay_bound_curves`] keeps one global
+//!   memo table keyed structurally, and every run (one-shot
+//!   [`DelayAnalysis::analyze`], incremental re-certification, the
+//!   admission engine) consults it;
 //! * **incremental re-certification**
 //!   ([`Integrated::analyze_incremental`]) — replay the recorded
 //!   [`GroupTrace`] for units outside the mutated flow's downstream
 //!   closure, recompute only the dirty ones.
 
-use crate::cache::{cached_local_delay, cap_word, AnalysisCache};
+use crate::fifo::cap_word;
 use crate::propagate::Propagation;
 use crate::{fifo, AnalysisError, AnalysisReport, DelayAnalysis, FlowReport, OutputCap};
-use dnc_curves::cache::CacheKey;
-use dnc_curves::{bounds, Curve, CurveError};
+use dnc_curves::cache::{CacheKey, CurveCache};
+use dnc_curves::{bounds, limits, Curve, CurveError};
 use dnc_net::pairing::{classify_pair_flows, partition, Group, PairingStrategy};
 use dnc_net::{Discipline, FlowId, Network, ServerId};
 use dnc_num::Rat;
 use std::collections::BTreeSet;
+use std::sync::LazyLock;
 
 /// The three delay figures of one analyzed pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,6 +133,10 @@ pub fn pair_delay_bound(
 /// class must be FIFO (true per priority level of an SP server). Arrival
 /// aggregates are nondecreasing arrival curves; `β₁`, `β₂` are
 /// nondecreasing service curves.
+///
+/// Memoized process-wide; a hit charges the [`limits`] budget exactly as
+/// computing the bound would, and under `debug-invariants` is recomputed
+/// and asserted equal.
 pub fn pair_delay_bound_curves(
     f12: &Curve,
     f1: &Curve,
@@ -139,9 +146,66 @@ pub fn pair_delay_bound_curves(
     beta2: &Curve,
     cap: OutputCap,
 ) -> Result<PairBound, CurveError> {
+    assert!(c1_total.is_positive(), "server-1 rate must be positive");
+    let key = CacheKey::new("core.pair_bound")
+        .curve(f12)
+        .curve(f1)
+        .curve(f2)
+        .curve(beta1)
+        .curve(beta2)
+        .rat(c1_total)
+        .word(cap_word(cap));
+    if let Some(hit) = PAIR_MEMO.lookup(&key) {
+        if dnc_curves::invariant::ENABLED {
+            // Recompute and compare; the recomputation's three `hdev`
+            // calls charge the budget exactly as the replay below does.
+            dnc_curves::invariant::same_as_general("core.pair_bound", &Ok(hit), || {
+                pair_bound_core(f12, f1, f2, c1_total, beta1, beta2, cap)
+            });
+        } else {
+            // Charge the budget as the three `hdev` calls did, so an op
+            // or segment cap trips at the same point whether the memo is
+            // warm or cold.
+            for width in hit.widths {
+                limits::checkpoint(width);
+            }
+        }
+        return Ok(hit.bound);
+    }
     let _span = dnc_telemetry::span("core.pair_bound");
     dnc_telemetry::counter("core.pair_bound.calls", 1);
-    assert!(c1_total.is_positive(), "server-1 rate must be positive");
+    let entry = pair_bound_core(f12, f1, f2, c1_total, beta1, beta2, cap)?;
+    PAIR_MEMO.insert(key, entry);
+    Ok(entry.bound)
+}
+
+/// Memo for [`pair_delay_bound_curves`], which on-line admission
+/// re-evaluates on every request. The key holds every input and no
+/// network coordinate, so FIFO pairs and static-priority levels share
+/// one key format (DESIGN.md §13.1).
+static PAIR_MEMO: LazyLock<CurveCache<PairEntry>> = LazyLock::new(CurveCache::default);
+
+/// A memoized pair bound plus the operand widths its three `hdev` calls
+/// charged to [`limits::checkpoint`], replayed on a hit.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct PairEntry {
+    bound: PairBound,
+    widths: [usize; 3],
+}
+
+/// The two-server bound itself (see [`pair_delay_bound_curves`]; opens
+/// no span of its own, and charges the budget only through its `hdev`
+/// calls).
+fn pair_bound_core(
+    f12: &Curve,
+    f1: &Curve,
+    f2: &Curve,
+    c1_total: Rat,
+    beta1: &Curve,
+    beta2: &Curve,
+    cap: OutputCap,
+) -> Result<PairEntry, CurveError> {
+    let width = |alpha: &Curve, beta: &Curve| alpha.points().len() + beta.points().len();
     let g1 = f12.add(f1);
     let d1 = bounds::hdev(&g1, beta1)?;
 
@@ -152,11 +216,14 @@ pub fn pair_delay_bound_curves(
     let d2 = bounds::hdev(&g2, beta2)?;
 
     // Joint bound: D1 + sup_{Δ≥0} [ β₂⁻¹(min(C1·Δ, F12(Δ+D1)) + F2(Δ)) − Δ ].
-    let m = Curve::rate(c1_total).min(&f12.shift_left(d1));
-    let inner = bounds::hdev(&m.add(f2), beta2)?;
+    let m = Curve::rate(c1_total).min(&f12.shift_left(d1)).add(f2);
+    let inner = bounds::hdev(&m, beta2)?;
     let through = (d1 + inner).min(d1 + d2);
 
-    Ok(PairBound { d1, d2, through })
+    Ok(PairEntry {
+        bound: PairBound { d1, d2, through },
+        widths: [width(&g1, beta1), width(&g2, beta2), width(&m, beta2)],
+    })
 }
 
 /// Algorithm Integrated.
@@ -375,34 +442,21 @@ impl DelayAnalysis for Integrated {
     }
 
     fn analyze(&self, net: &Network) -> Result<AnalysisReport, AnalysisError> {
-        self.analyze_with(net, None)
+        self.analyze_traced(net).map(|(report, _)| report)
     }
 }
 
 impl Integrated {
-    /// [`DelayAnalysis::analyze`] with an optional [`AnalysisCache`]:
-    /// pair bounds and local delays are memoized by their structural
-    /// keys, so the report is Rat-exact identical with or without the
-    /// cache, across runs, and across networks sharing the cache.
-    pub fn analyze_with(
-        &self,
-        net: &Network,
-        cache: Option<&AnalysisCache>,
-    ) -> Result<AnalysisReport, AnalysisError> {
-        self.analyze_traced(net, cache).map(|(report, _)| report)
-    }
-
-    /// Like [`Integrated::analyze_with`], additionally returning the
+    /// Like [`DelayAnalysis::analyze`], additionally returning the
     /// [`GroupTrace`] that [`Integrated::analyze_incremental`] replays.
     pub fn analyze_traced(
         &self,
         net: &Network,
-        cache: Option<&AnalysisCache>,
     ) -> Result<(AnalysisReport, GroupTrace), AnalysisError> {
         let _span = dnc_telemetry::span("algo.integrated");
         net.validate()?;
         let units = self.units_of(net)?;
-        self.run(net, cache, &units, None)
+        self.run(net, &units, None)
     }
 
     /// Re-certify after a churn mutation by recomputing only the units
@@ -419,7 +473,6 @@ impl Integrated {
         net: &Network,
         prev: &GroupTrace,
         seed: &[ServerId],
-        cache: Option<&AnalysisCache>,
     ) -> Result<Option<IncrementalOutcome>, AnalysisError> {
         let _span = dnc_telemetry::span("algo.integrated.incremental");
         net.validate()?;
@@ -431,11 +484,11 @@ impl Integrated {
             return Ok(None);
         };
         let dirty_units = dirty.iter().filter(|&&d| d).count();
-        let (report, trace) = self.run(net, cache, &units, Some((prev, &dirty)))?;
+        let (report, trace) = self.run(net, &units, Some((prev, &dirty)))?;
 
         #[cfg(feature = "debug-invariants")]
         {
-            let (full, _) = self.run(net, None, &units, None)?;
+            let (full, _) = self.run(net, &units, None)?;
             assert_eq!(
                 report, full,
                 "incremental splice diverged from the from-scratch analysis"
@@ -486,7 +539,6 @@ impl Integrated {
     fn run(
         &self,
         net: &Network,
-        cache: Option<&AnalysisCache>,
         units: &[Unit],
         replay: Option<(&GroupTrace, &[bool])>,
     ) -> Result<(AnalysisReport, GroupTrace), AnalysisError> {
@@ -505,9 +557,9 @@ impl Integrated {
                 }
                 // audit: allow(index, i is a unit index below units.len())
                 match units[i] {
-                    Unit::Single(s) => self.compute_single(net, s, prop, cache),
-                    Unit::FifoPair(a, b) => self.compute_pair(net, a, b, prop, cache),
-                    Unit::SpPair(a, b) => self.compute_pair_sp(net, a, b, prop, cache),
+                    Unit::Single(s) => self.compute_single(net, s, prop),
+                    Unit::FifoPair(a, b) => self.compute_pair(net, a, b, prop),
+                    Unit::SpPair(a, b) => self.compute_pair_sp(net, a, b, prop),
                 }
             };
 
@@ -570,7 +622,6 @@ impl Integrated {
         net: &Network,
         server: ServerId,
         prop: &Propagation<'_>,
-        cache: Option<&AnalysisCache>,
     ) -> Result<Vec<StageEntry>, AnalysisError> {
         let incident = net.flows_through(server);
         if incident.is_empty() {
@@ -584,7 +635,7 @@ impl Integrated {
                     .map(|&f| prop.curve_at(f, server).clone())
                     .collect();
                 let g = fifo::aggregate_curve(curves.iter());
-                let d = cached_local_delay(cache, &g, srv.rate, server)?;
+                let d = fifo::local_delay(&g, srv.rate, server)?;
                 incident.iter().map(|&f| (f, d)).collect()
             }
             Discipline::StaticPriority => {
@@ -635,7 +686,6 @@ impl Integrated {
         a: ServerId,
         b: ServerId,
         prop: &Propagation<'_>,
-        cache: Option<&AnalysisCache>,
     ) -> Result<Vec<StageEntry>, AnalysisError> {
         use std::collections::BTreeMap;
         let (s12, s1, s2) = classify_pair_flows(net, a, b);
@@ -690,21 +740,8 @@ impl Integrated {
             };
             let beta1 = residual(c1, &higher1);
             let beta2 = residual(c2, &higher2);
-            let pb = match cache {
-                Some(cch) => cch.pair_bound(
-                    CacheKey::new("core.pair_bound_sp")
-                        .curve(&f12)
-                        .curve(&f1)
-                        .curve(&f2)
-                        .curve(&beta1)
-                        .curve(&beta2)
-                        .rat(c1)
-                        .word(cap_word(self.cap)),
-                    || pair_delay_bound_curves(&f12, &f1, &f2, c1, &beta1, &beta2, self.cap),
-                ),
-                None => pair_delay_bound_curves(&f12, &f1, &f2, c1, &beta1, &beta2, self.cap),
-            }
-            .map_err(|e| AnalysisError::at(a, e))?;
+            let pb = pair_delay_bound_curves(&f12, &f1, &f2, c1, &beta1, &beta2, self.cap)
+                .map_err(|e| AnalysisError::at(a, e))?;
 
             for &f in &l12 {
                 out.push(StageEntry {
@@ -744,7 +781,6 @@ impl Integrated {
         a: ServerId,
         b: ServerId,
         prop: &Propagation<'_>,
-        cache: Option<&AnalysisCache>,
     ) -> Result<Vec<StageEntry>, AnalysisError> {
         let (s12, s1, s2) = classify_pair_flows(net, a, b);
         let f12 = fifo::aggregate_curve(
@@ -767,20 +803,8 @@ impl Integrated {
         );
         let c1 = net.server(a).rate;
         let c2 = net.server(b).rate;
-        let pb = match cache {
-            Some(cch) => cch.pair_bound(
-                CacheKey::new("core.pair_bound")
-                    .curve(&f12)
-                    .curve(&f1)
-                    .curve(&f2)
-                    .rat(c1)
-                    .rat(c2)
-                    .word(cap_word(self.cap)),
-                || pair_delay_bound(&f12, &f1, &f2, c1, c2, self.cap),
-            ),
-            None => pair_delay_bound(&f12, &f1, &f2, c1, c2, self.cap),
-        }
-        .map_err(|e| AnalysisError::at(a, e))?;
+        let pb = pair_delay_bound(&f12, &f1, &f2, c1, c2, self.cap)
+            .map_err(|e| AnalysisError::at(a, e))?;
 
         let label = format!("{}+{}", net.server(a).name, net.server(b).name);
         let mut out = Vec::new();
@@ -1041,26 +1065,88 @@ mod tests {
 
     #[test]
     fn cached_equals_uncached_and_hits_across_runs() {
+        // Inputs that each differ from the first in one key part, each
+        // part changing the bound: a key missing any part makes two of
+        // them collide, and the memo then answers one with the other's
+        // bound. Warm the memo with all of them, then compare every
+        // memoized answer with the uncached computation.
+        type Input = (Curve, Curve, Curve, Rat, Curve, Curve, OutputCap);
+        let memoized = |(f12, f1, f2, c1, b1, b2, cap): &Input| {
+            pair_delay_bound_curves(f12, f1, f2, *c1, b1, b2, *cap).unwrap()
+        };
+        let uncached = |(f12, f1, f2, c1, b1, b2, cap): &Input| {
+            pair_bound_core(f12, f1, f2, *c1, b1, b2, *cap)
+                .unwrap()
+                .bound
+        };
+        let tb = |s: i64| Curve::token_bucket(int(s), rat(1, 7));
+        let (rate, slow) = (Curve::rate(int(1)), Curve::rate_latency(int(1), int(1)));
+        let base: Input = (
+            tb(5),
+            tb(2),
+            tb(3),
+            int(1),
+            rate.clone(),
+            rate,
+            OutputCap::Shift,
+        );
+        let mut inputs = vec![base; 8];
+        inputs[1].0 = tb(6);
+        inputs[2].1 = tb(3);
+        inputs[3].2 = tb(4);
+        inputs[4].3 = int(2);
+        inputs[5].4 = slow.clone();
+        inputs[6].5 = slow;
+        inputs[7].6 = OutputCap::ShiftRateCapped;
+        for (part, input) in inputs.iter().enumerate().skip(1) {
+            assert_ne!(uncached(input), uncached(&inputs[0]), "key part {part}");
+        }
+        for input in &inputs {
+            memoized(input);
+        }
+        for input in &inputs {
+            assert_eq!(
+                memoized(input),
+                uncached(input),
+                "memo answer for {input:?}"
+            );
+        }
+
+        // Whole analyses: the first run fills the memo, the second answers
+        // every pair from it (counted in tests/pair_memo.rs).
         let t = builders::tandem(6, int(1), rat(1, 16), builders::TandemOptions::default());
-        let cache = AnalysisCache::new();
-        let plain = Integrated::paper().analyze(&t.net).unwrap();
-        let cold = Integrated::paper()
-            .analyze_with(&t.net, Some(&cache))
-            .unwrap();
-        assert!(!cache.is_empty(), "first run must populate the cache");
-        let warm = Integrated::paper()
-            .analyze_with(&t.net, Some(&cache))
-            .unwrap();
-        assert_eq!(plain, cold);
-        assert_eq!(plain, warm, "cache hits must be Rat-exact");
+        let cold = Integrated::paper().analyze(&t.net).unwrap();
+        assert!(!PAIR_MEMO.is_empty(), "first run must populate the memo");
+        let warm = Integrated::paper().analyze(&t.net).unwrap();
+        assert_eq!(cold, warm, "memo hits must be Rat-exact");
+    }
+
+    #[test]
+    fn pair_memo_hit_charges_the_budget_like_a_miss() {
+        // An op cap that the cold computation breaches must breach on a
+        // warm memo too, so which tier answers never depends on what the
+        // process computed before.
+        let f12 = Curve::token_bucket(int(5), rat(1, 7));
+        let f1 = Curve::token_bucket(int(2), rat(1, 7));
+        let f2 = Curve::token_bucket(int(3), rat(1, 7));
+        let bound = || pair_delay_bound(&f12, &f1, &f2, int(1), int(1), OutputCap::Shift);
+        let capped = |ops: u64| {
+            let _limits = limits::install(limits::Limits {
+                op_cap: Some(ops),
+                ..limits::Limits::unlimited()
+            });
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(bound)).is_ok()
+        };
+        assert!(bound().is_ok(), "warm the memo");
+        assert!(!capped(2), "a hit must charge all three hdev calls");
+        assert!(capped(3));
     }
 
     #[test]
     fn incremental_matches_full_after_admit_and_release() {
         let t = builders::tandem(5, int(1), rat(1, 16), builders::TandemOptions::default());
         let alg = Integrated::paper();
-        let cache = AnalysisCache::new();
-        let (_, trace) = alg.analyze_traced(&t.net, Some(&cache)).unwrap();
+        let (_, trace) = alg.analyze_traced(&t.net).unwrap();
 
         // Admit a new flow over the middle servers.
         let mut grown = t.net.clone();
@@ -1072,9 +1158,9 @@ mod tests {
         };
         let seed = candidate.route.clone();
         grown.add_flow(candidate).unwrap();
-        let full = alg.analyze_traced(&grown, Some(&cache)).unwrap();
+        let full = alg.analyze_traced(&grown).unwrap();
         let inc = alg
-            .analyze_incremental(&grown, &trace, &seed, Some(&cache))
+            .analyze_incremental(&grown, &trace, &seed)
             .unwrap()
             .expect("tandem admit keeps the partition");
         assert_eq!(inc.report, full.0, "spliced report must be Rat-exact");
@@ -1087,9 +1173,9 @@ mod tests {
         shrunk.remove_flow(victim).unwrap();
         let mut remapped = inc.trace.clone();
         remapped.remap_release(victim);
-        let full_back = alg.analyze_traced(&shrunk, Some(&cache)).unwrap();
+        let full_back = alg.analyze_traced(&shrunk).unwrap();
         let inc_back = alg
-            .analyze_incremental(&shrunk, &remapped, &seed, Some(&cache))
+            .analyze_incremental(&shrunk, &remapped, &seed)
             .unwrap()
             .expect("tandem release keeps the partition");
         assert_eq!(inc_back.report, full_back.0);

@@ -30,6 +30,17 @@
 //!
 //! All three algorithms implement [`DelayAnalysis`] and produce an
 //! [`AnalysisReport`] with exact rational per-connection bounds.
+//!
+//! No analysis takes or owns a cache. Each memoized computation keeps
+//! one process-global table beside its function — the pair bound in
+//! [`integrated`], the time-stopping entry envelope in [`cyclic`],
+//! [`fifo_family::family_curve`], and `dnc_curves`' conv, deconv and
+//! deviations — keyed by every input and no network coordinate. Every
+//! call path (a one-shot [`DelayAnalysis::analyze`], incremental
+//! re-certification, the admission engine) shares those tables, and a
+//! hit is bit-identical to recomputation; under `debug-invariants`
+//! every table checks its answers against the uncached computation
+//! (DESIGN.md §13.1).
 
 mod error;
 mod fifo;
@@ -38,7 +49,6 @@ mod propagate;
 mod report;
 
 pub mod admission;
-pub mod cache;
 pub mod closed_form;
 pub mod cyclic;
 pub mod decomposed;

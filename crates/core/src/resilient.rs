@@ -20,7 +20,6 @@
 //! [`ResilientReport`] records which tier answered and what happened to
 //! every tier tried.
 
-use crate::cache::AnalysisCache;
 use crate::cyclic::TimeStopping;
 use crate::decomposed::Decomposed;
 use crate::guard::{ArmedGuard, Guard};
@@ -136,20 +135,6 @@ impl ResilientReport {
     }
 }
 
-/// Optional fast-path inputs for [`ResilientRunner::analyze_fast`]:
-/// shared memo tables, and (when re-certifying after a small mutation) the
-/// previous run's [`GroupTrace`] plus the servers whose inputs changed.
-#[derive(Clone, Copy, Debug)]
-pub struct FastPath<'a> {
-    /// Memo tables shared across runs (pair bounds, local delays,
-    /// propagated envelopes).
-    pub cache: &'a AnalysisCache,
-    /// `Some((trace, seed))` to attempt an incremental splice: `trace` is
-    /// the previous accepted analysis of this network, `seed` the servers
-    /// whose inputs changed since (e.g. the mutated flow's route).
-    pub prev: Option<(&'a GroupTrace, &'a [ServerId])>,
-}
-
 /// The result of [`ResilientRunner::analyze_fast`]: the resilient report
 /// plus the artifacts the next incremental run needs.
 #[derive(Clone, Debug)]
@@ -163,6 +148,19 @@ pub struct FastReport {
     /// `Some((dirty, total))` when the incremental tier answered: how
     /// many pairing groups were re-analyzed out of how many.
     pub dirty_units: Option<(usize, usize)>,
+}
+
+impl FastReport {
+    /// Pairing units the answering Integrated run computed: the dirty
+    /// units of an incremental answer, every unit of a full pass, none
+    /// when a decomposition tier answered.
+    pub fn units_computed(&self) -> usize {
+        match (self.dirty_units, &self.trace) {
+            (Some((dirty, _total)), _) => dirty,
+            (None, Some(trace)) => trace.unit_count(),
+            (None, None) => 0,
+        }
+    }
 }
 
 /// Runs the Integrated → Decomposed → Unbounded fallback chain under a
@@ -208,29 +206,33 @@ impl ResilientRunner {
         self.analyze_fast(net, None).report
     }
 
-    /// [`ResilientRunner::analyze`] with the fast path enabled: memoized
-    /// curve operations via `fast.cache`, and — when `fast.prev` carries
-    /// the previous run's trace — an extra **incremental** tier that
-    /// re-analyzes only the pairing groups affected by the seed servers
-    /// and splices the previous bounds for the rest. The incremental tier
-    /// degrades to a full Integrated pass (and onward down the chain)
-    /// whenever the pairing partition changed, so it never alters *what*
-    /// is answered, only how fast.
-    pub fn analyze_fast(&self, net: &Network, fast: Option<FastPath<'_>>) -> FastReport {
+    /// [`ResilientRunner::analyze`], returning the artifacts the next
+    /// incremental run needs. `prev = Some((trace, seed))` adds an extra
+    /// **incremental** tier: `trace` is the previous accepted analysis of
+    /// this network, `seed` the servers whose inputs changed since (e.g.
+    /// the mutated flow's route), and the tier re-analyzes only the
+    /// pairing groups those servers affect, splicing the previous bounds
+    /// for the rest. It degrades to a full Integrated pass (and onward
+    /// down the chain) whenever the pairing partition changed, so it
+    /// never alters *what* is answered, only how fast.
+    pub fn analyze_fast(
+        &self,
+        net: &Network,
+        prev: Option<(&GroupTrace, &[ServerId])>,
+    ) -> FastReport {
         let _span = dnc_telemetry::span("algo.resilient");
         let armed = self.guard.arm();
         let feedforward = net.topological_order().is_ok();
         let mut attempts: Vec<Attempt> = Vec::new();
-        let cache = fast.as_ref().map(|f| f.cache);
         let integrated = Integrated::paper().with_workers(self.workers);
 
         // Tier 1a: incremental splice off the previous trace (only when
         // the caller supplied one and the network is still feedforward).
         if feedforward {
-            if let Some((prev, seed)) = fast.as_ref().and_then(|f| f.prev) {
+            if let Some((prev, seed)) = prev {
                 let extras: RefCell<Option<(GroupTrace, usize, usize)>> = RefCell::new(None);
                 let ((outcome, wall_us), bounds) = run_attempt(&armed, || {
-                    match integrated.analyze_incremental(net, prev, seed, cache)? {
+                    match integrated.analyze_incremental(net, prev, seed)? {
                         Some(out) => {
                             *extras.borrow_mut() =
                                 Some((out.trace, out.dirty_units, out.total_units));
@@ -280,7 +282,7 @@ impl ResilientRunner {
         if feedforward {
             let extras: RefCell<Option<GroupTrace>> = RefCell::new(None);
             let ((outcome, wall_us), bounds) = run_attempt(&armed, || {
-                let (report, trace) = integrated.analyze_traced(net, cache)?;
+                let (report, trace) = integrated.analyze_traced(net)?;
                 *extras.borrow_mut() = Some(trace);
                 Ok((report, None))
             });
@@ -596,14 +598,7 @@ mod tests {
             workers: 2,
             ..ResilientRunner::default()
         };
-        let cache = AnalysisCache::new();
-        let first = runner.analyze_fast(
-            &net,
-            Some(FastPath {
-                cache: &cache,
-                prev: None,
-            }),
-        );
+        let first = runner.analyze_fast(&net, None);
         assert_eq!(first.report.tier(), Tier::Integrated);
         let trace = first.trace.expect("integrated answer carries a trace");
 
@@ -615,13 +610,7 @@ mod tests {
         })
         .unwrap();
         let seed = [t.middle[1]];
-        let second = runner.analyze_fast(
-            &net,
-            Some(FastPath {
-                cache: &cache,
-                prev: Some((&trace, &seed)),
-            }),
-        );
+        let second = runner.analyze_fast(&net, Some((&trace, &seed)));
         assert_eq!(second.report.tier(), Tier::Integrated);
         assert_eq!(
             second.report.attempts()[0].algorithm,

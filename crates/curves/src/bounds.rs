@@ -1,45 +1,116 @@
 //! Bound extraction: horizontal deviation (delay), vertical deviation
 //! (backlog), and busy-period length.
 //!
-//! When [`crate::intern::kernel_enabled`] (the default), [`hdev`] and
-//! [`hdev_general`] answer the ubiquitous token-bucket/rate-latency
-//! case with the closed form `σ/R + T` ([`crate::shape::closed_hdev`])
-//! and memoize everything else in global caches keyed by interned
-//! [`CurveId`]s; shape preconditions are checked against the memoized
-//! [`crate::shape::ShapeInfo`] flags so the error behavior is
-//! unchanged. [`hdev_envelope`] / [`hdev_general_envelope`] expose the
-//! always-general candidate scans for differential testing.
+//! [`hdev`] and [`hdev_general`] answer the ubiquitous
+//! token-bucket/rate-latency case with the closed form `σ/R + T`
+//! ([`crate::shape::closed_hdev`]) and memoize everything else in one
+//! global cache each, keyed by interned [`crate::intern::CurveId`]s; shape
+//! preconditions are checked against the memoized
+//! [`crate::shape::ShapeInfo`] flags so the error behavior matches the
+//! candidate scans. Under `debug-invariants` every closed-form or memoized
+//! answer is recomputed by the scan and asserted equal
+//! ([`crate::invariant::same_as_general`]). [`hdev_envelope`] /
+//! [`hdev_general_envelope`] expose the always-general candidate scans
+//! for differential testing.
 
 use crate::cache::{CacheKey, CurveCache};
-use crate::intern::{self, CurveId};
-use crate::shape;
+use crate::intern;
+use crate::shape::{self, ShapeInfo};
 use crate::{Curve, CurveError};
 use dnc_num::Rat;
-use std::sync::OnceLock;
+use std::sync::LazyLock;
 
-static HDEV_MEMO: OnceLock<CurveCache<Rat>> = OnceLock::new();
-static HDEV_GENERAL_MEMO: OnceLock<CurveCache<Rat>> = OnceLock::new();
+static HDEV_MEMO: LazyLock<CurveCache<Rat>> = LazyLock::new(CurveCache::default);
+static HDEV_GENERAL_MEMO: LazyLock<CurveCache<Rat>> = LazyLock::new(CurveCache::default);
 
-fn hdev_memo() -> &'static CurveCache<Rat> {
-    HDEV_MEMO.get_or_init(CurveCache::default)
-}
-
-fn hdev_general_memo() -> &'static CurveCache<Rat> {
-    HDEV_GENERAL_MEMO.get_or_init(CurveCache::default)
-}
-
-/// Shared unstable-rate error so every path words it identically.
-fn unstable(alpha: &Curve, beta: &Curve) -> CurveError {
-    CurveError::Unstable {
-        arrival_rate: alpha.final_slope().to_string(),
-        service_rate: beta.final_slope().to_string(),
+/// Stability precondition (`rate(α) ≤ rate(β)`) shared by every
+/// deviation and deconvolution path, worded identically.
+pub(crate) fn stable(alpha: &Curve, beta: &Curve) -> Result<(), CurveError> {
+    if alpha.final_slope() > beta.final_slope() {
+        return Err(CurveError::Unstable {
+            arrival_rate: alpha.final_slope().to_string(),
+            service_rate: beta.final_slope().to_string(),
+        });
     }
+    Ok(())
 }
 
-/// The id pair for an (α, β) memo key (order matters: hdev is not
-/// symmetric).
-fn pair_key(tag: &'static str, a: CurveId, b: CurveId) -> CacheKey {
-    CacheKey::new(tag).curve_id(a).curve_id(b)
+/// [`hdev`]'s preconditions on classified operands.
+fn hdev_pre(alpha: &Curve, beta: &Curve, a: &ShapeInfo, b: &ShapeInfo) -> Result<(), CurveError> {
+    if !a.is_nondecreasing() || !a.is_concave() {
+        return Err(CurveError::BadShape(
+            "hdev: α must be concave nondecreasing",
+        ));
+    }
+    if !b.is_nondecreasing() || !b.is_convex() {
+        return Err(CurveError::BadShape("hdev: β must be convex nondecreasing"));
+    }
+    stable(alpha, beta)
+}
+
+/// [`hdev_general`]'s preconditions on classified operands.
+fn hdev_general_pre(
+    alpha: &Curve,
+    beta: &Curve,
+    a: &ShapeInfo,
+    b: &ShapeInfo,
+) -> Result<(), CurveError> {
+    if !a.is_nondecreasing() {
+        return Err(CurveError::BadShape(
+            "hdev_general: α must be nondecreasing",
+        ));
+    }
+    if !b.is_nondecreasing() {
+        return Err(CurveError::BadShape(
+            "hdev_general: β must be nondecreasing",
+        ));
+    }
+    stable(alpha, beta)
+}
+
+type Pre = fn(&Curve, &Curve, &ShapeInfo, &ShapeInfo) -> Result<(), CurveError>;
+type Scan = fn(&Curve, &Curve) -> Result<Rat, CurveError>;
+
+/// The kernel path of [`hdev`] and [`hdev_general`]: preconditions on
+/// the memoized shapes, then the closed form `σ/R + T` or the candidate
+/// scan memoized under `(tag, α id, β id)` (hdev is not symmetric). For
+/// token-bucket/rate-latency operands both scans' suprema equal the
+/// closed form (for `hdev_general` the flat-segment limit contributions
+/// are dominated by `σ/R + T`; proptested in `tests/prop_intern.rs`).
+fn deviation(
+    alpha: &Curve,
+    beta: &Curve,
+    tag: &'static str,
+    memo: &CurveCache<Rat>,
+    pre: Pre,
+    scan: Scan,
+) -> Result<Rat, CurveError> {
+    let aid = intern::intern(alpha);
+    let bid = intern::intern(beta);
+    let (ash, bsh) = (intern::shape_of(aid), intern::shape_of(bid));
+    pre(alpha, beta, &ash, &bsh)?;
+    let best = match shape::closed_hdev(&ash, &bsh) {
+        Some(d) => {
+            dnc_telemetry::counter("curve.hdev.fast_path", 1);
+            d
+        }
+        None => memo
+            .get_or_try_insert_with(CacheKey::new(tag).curve_id(aid).curve_id(bid), || {
+                scan(alpha, beta)
+            })?,
+    };
+    crate::invariant::same_as_general(tag, &Ok(best), || scan(alpha, beta));
+    crate::invariant::hdev_post(alpha, beta, best);
+    Ok(best)
+}
+
+/// The always-general path: preconditions on freshly classified
+/// operands, then the unmemoized scan.
+fn envelope(alpha: &Curve, beta: &Curve, pre: Pre, scan: Scan) -> Result<Rat, CurveError> {
+    pre(alpha, beta, &shape::classify(alpha), &shape::classify(beta))?;
+    let best = scan(alpha, beta)?;
+    crate::invariant::hdev_post(alpha, beta, best);
+    Ok(best)
 }
 
 /// Horizontal deviation `h(α, β) = sup_{t≥0} inf { d ≥ 0 : α(t) ≤ β(t+d) }`
@@ -58,68 +129,21 @@ fn pair_key(tag: &'static str, a: CurveId, b: CurveId) -> CacheKey {
 pub fn hdev(alpha: &Curve, beta: &Curve) -> Result<Rat, CurveError> {
     crate::limits::checkpoint(alpha.points().len() + beta.points().len());
     let _span = dnc_telemetry::span("curve.hdev");
-    if intern::kernel_enabled() {
-        let aid = intern::intern(alpha);
-        let bid = intern::intern(beta);
-        let ash = intern::shape_of(aid);
-        let bsh = intern::shape_of(bid);
-        if !ash.is_nondecreasing() || !ash.is_concave() {
-            return Err(CurveError::BadShape(
-                "hdev: α must be concave nondecreasing",
-            ));
-        }
-        if !bsh.is_nondecreasing() || !bsh.is_convex() {
-            return Err(CurveError::BadShape("hdev: β must be convex nondecreasing"));
-        }
-        if alpha.final_slope() > beta.final_slope() {
-            return Err(unstable(alpha, beta));
-        }
-        let best = match shape::closed_hdev(&ash, &bsh) {
-            Some(d) => {
-                dnc_telemetry::counter("curve.hdev.fast_path", 1);
-                d
-            }
-            None => hdev_memo().get_or_try_insert_with(pair_key("curve.hdev", aid, bid), || {
-                hdev_core(alpha, beta)
-            })?,
-        };
-        crate::invariant::hdev_post(alpha, beta, best);
-        return Ok(best);
-    }
-    hdev_checked(alpha, beta)
+    deviation(alpha, beta, "curve.hdev", &HDEV_MEMO, hdev_pre, hdev_core)
 }
 
 /// The always-general horizontal deviation, bypassing the shape fast
-/// path and the operation memo regardless of the kernel knob. Same
-/// precondition as [`hdev`]: nondecreasing α and β. Bit-identical to
-/// [`hdev`] — the property the differential tests assert by calling
-/// both.
+/// path and the operation memo. Same precondition as [`hdev`]:
+/// nondecreasing α and β. Bit-identical to [`hdev`] — the property the
+/// differential tests assert by calling both.
 pub fn hdev_envelope(alpha: &Curve, beta: &Curve) -> Result<Rat, CurveError> {
     crate::limits::checkpoint(alpha.points().len() + beta.points().len());
     let _span = dnc_telemetry::span("curve.hdev");
-    hdev_checked(alpha, beta)
+    envelope(alpha, beta, hdev_pre, hdev_core)
 }
 
-/// Shape/stability checks plus the candidate scan (the pre-kernel
-/// [`hdev`] body).
-fn hdev_checked(alpha: &Curve, beta: &Curve) -> Result<Rat, CurveError> {
-    if !alpha.is_nondecreasing() || !alpha.is_concave() {
-        return Err(CurveError::BadShape(
-            "hdev: α must be concave nondecreasing",
-        ));
-    }
-    if !beta.is_nondecreasing() || !beta.is_convex() {
-        return Err(CurveError::BadShape("hdev: β must be convex nondecreasing"));
-    }
-    if alpha.final_slope() > beta.final_slope() {
-        return Err(unstable(alpha, beta));
-    }
-    let best = hdev_core(alpha, beta)?;
-    crate::invariant::hdev_post(alpha, beta, best);
-    Ok(best)
-}
-
-/// The candidate scan of [`hdev`] (preconditions checked by callers).
+/// The candidate scan of [`hdev`] (preconditions checked by callers;
+/// charges no budget, opens no span).
 fn hdev_core(alpha: &Curve, beta: &Curve) -> Result<Rat, CurveError> {
     // Candidate abscissae: breakpoints of α and α-preimages of β's
     // breakpoint values.
@@ -207,78 +231,27 @@ fn hdev_core(alpha: &Curve, beta: &Curve) -> Result<Rat, CurveError> {
 pub fn hdev_general(alpha: &Curve, beta: &Curve) -> Result<Rat, CurveError> {
     crate::limits::checkpoint(alpha.points().len() + beta.points().len());
     let _span = dnc_telemetry::span("curve.hdev_general");
-    if intern::kernel_enabled() {
-        let aid = intern::intern(alpha);
-        let bid = intern::intern(beta);
-        let ash = intern::shape_of(aid);
-        let bsh = intern::shape_of(bid);
-        if !ash.is_nondecreasing() {
-            return Err(CurveError::BadShape(
-                "hdev_general: α must be nondecreasing",
-            ));
-        }
-        if !bsh.is_nondecreasing() {
-            return Err(CurveError::BadShape(
-                "hdev_general: β must be nondecreasing",
-            ));
-        }
-        if alpha.final_slope() > beta.final_slope() {
-            return Err(unstable(alpha, beta));
-        }
-        // The closed form computes the same supremum h(α, β); for
-        // token-bucket/rate-latency operands the flat-segment limit
-        // contributions are dominated by σ/R + T, so the value agrees
-        // with the candidate scan (differentially re-proven by
-        // tests/prop_intern.rs).
-        let best = match shape::closed_hdev(&ash, &bsh) {
-            Some(d) => {
-                dnc_telemetry::counter("curve.hdev.fast_path", 1);
-                d
-            }
-            None => hdev_general_memo()
-                .get_or_try_insert_with(pair_key("curve.hdev_general", aid, bid), || {
-                    hdev_general_core(alpha, beta)
-                })?,
-        };
-        crate::invariant::hdev_post(alpha, beta, best);
-        return Ok(best);
-    }
-    hdev_general_checked(alpha, beta)
+    deviation(
+        alpha,
+        beta,
+        "curve.hdev_general",
+        &HDEV_GENERAL_MEMO,
+        hdev_general_pre,
+        hdev_general_core,
+    )
 }
 
 /// The always-general [`hdev_general`] candidate scan, bypassing the
-/// fast path and the memo regardless of the kernel knob. Same
-/// precondition as [`hdev_general`]: nondecreasing α and β.
-/// Bit-identical to [`hdev_general`].
+/// fast path and the memo. Same precondition as [`hdev_general`]:
+/// nondecreasing α and β. Bit-identical to [`hdev_general`].
 pub fn hdev_general_envelope(alpha: &Curve, beta: &Curve) -> Result<Rat, CurveError> {
     crate::limits::checkpoint(alpha.points().len() + beta.points().len());
     let _span = dnc_telemetry::span("curve.hdev_general");
-    hdev_general_checked(alpha, beta)
-}
-
-/// Shape/stability checks plus the candidate scan (the pre-kernel
-/// [`hdev_general`] body).
-fn hdev_general_checked(alpha: &Curve, beta: &Curve) -> Result<Rat, CurveError> {
-    if !alpha.is_nondecreasing() {
-        return Err(CurveError::BadShape(
-            "hdev_general: α must be nondecreasing",
-        ));
-    }
-    if !beta.is_nondecreasing() {
-        return Err(CurveError::BadShape(
-            "hdev_general: β must be nondecreasing",
-        ));
-    }
-    if alpha.final_slope() > beta.final_slope() {
-        return Err(unstable(alpha, beta));
-    }
-    let best = hdev_general_core(alpha, beta)?;
-    crate::invariant::hdev_post(alpha, beta, best);
-    Ok(best)
+    envelope(alpha, beta, hdev_general_pre, hdev_general_core)
 }
 
 /// The candidate scan of [`hdev_general`] (preconditions checked by
-/// callers).
+/// callers; charges no budget, opens no span).
 fn hdev_general_core(alpha: &Curve, beta: &Curve) -> Result<Rat, CurveError> {
     let mut cands: Vec<Rat> = alpha.breakpoint_xs();
     cands.push(Rat::ZERO);

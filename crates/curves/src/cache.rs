@@ -22,11 +22,15 @@
 //! eviction**: an intrusive doubly-linked recency list threaded through
 //! the slot slab, evicting exactly one least-recently-used entry per
 //! overflowing insert (counted under `cache.evictions`). The previous
-//! whole-table `clear()` made every record in `BENCH_throughput.json`
+//! whole-table drop made every record in `BENCH_throughput.json`
 //! report `cache.hit_rate = 0` under churny workloads — one cold key
 //! past capacity threw away every warm entry. The linked-list
 //! bookkeeping is two index writes per touch, far cheaper than one
 //! wholesale re-warm.
+//!
+//! Every memoized computation has exactly one table: a process-global
+//! `CurveCache` declared beside the function it memoizes, consulted by
+//! every call path (DESIGN.md §13.1). No cache is passed around.
 
 use crate::intern::{self, CurveId};
 use crate::Curve;
@@ -77,14 +81,6 @@ impl CacheKey {
     /// Append an already-interned operand curve.
     pub fn curve_id(mut self, id: CurveId) -> CacheKey {
         self.curves.push(id);
-        self
-    }
-
-    /// Append a sequence of operand curves (order-sensitive). Like
-    /// [`CacheKey::curve`], shape-agnostic: no concave/convex/monotone
-    /// precondition is imposed on the operands.
-    pub fn curve_seq<'a, I: IntoIterator<Item = &'a Curve>>(mut self, cs: I) -> CacheKey {
-        self.curves.extend(cs.into_iter().map(intern::intern));
         self
     }
 
@@ -277,12 +273,6 @@ impl<V> CurveCache<V> {
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.locked().0.map.is_empty()
-    }
-
-    /// Drop every entry.
-    pub fn clear(&self) {
-        let mut g = self.locked();
-        g.0 = Lru::new();
     }
 }
 

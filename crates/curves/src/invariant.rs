@@ -11,7 +11,10 @@
 //! * bound soundness (`hdev ≥ 0` and `α(t) ≤ β(t + d)` at the candidate
 //!   abscissae, `vdev` dominates the pointwise excess),
 //! * envelope inequalities (`(f ⊗ g)(t) ≤ f(t) + g(0)` and symmetrically —
-//!   the `s = t` / `s = 0` candidates of the infimum).
+//!   the `s = t` / `s = 0` candidates of the infimum),
+//! * kernel agreement (every closed-form or memoized answer of
+//!   `conv`/`deconv`/`hdev`/`hdev_general` equals the general
+//!   construction, see [`same_as_general`]).
 //!
 //! All checks run in exact `Rat` arithmetic, whose operators are
 //! overflow-checked (they panic with a diagnostic rather than wrapping), so
@@ -222,6 +225,29 @@ pub(crate) fn vdev_post(alpha: &Curve, beta: &Curve, v: Rat) {
 #[inline(always)]
 pub(crate) fn vdev_post(_alpha: &Curve, _beta: &Curve, _v: Rat) {}
 
+/// Postcondition of the curve kernel: an answer from a shape fast path
+/// or a memo equals the general construction `general()`, which must
+/// charge no [`crate::limits`] budget and open no span (so budgets
+/// behave the same with the feature on). Used by `conv`, `deconv`,
+/// `hdev`, `hdev_general` and `dnc-core`'s `family_curve`.
+#[cfg(feature = "debug-invariants")]
+pub fn same_as_general<T: PartialEq + std::fmt::Debug>(
+    op: &str,
+    answer: &T,
+    general: impl FnOnce() -> T,
+) {
+    let expected = general();
+    assert!(
+        *answer == expected,
+        "invariant[{op}]: fast path or memo answer {answer:?} differs from the general construction {expected:?}"
+    );
+}
+
+/// Kernel-agreement postcondition (a no-op without `debug-invariants`).
+#[cfg(not(feature = "debug-invariants"))]
+#[inline(always)]
+pub fn same_as_general<T>(_op: &str, _answer: &T, _general: impl FnOnce() -> T) {}
+
 #[cfg(all(test, feature = "debug-invariants"))]
 mod tests {
     use super::*;
@@ -246,6 +272,12 @@ mod tests {
         let b = Curve::rate_latency(int(2), int(3));
         // True delay is 5; claim 1 and the check must fire.
         hdev_post(&a, &b, int(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "differs from the general construction")]
+    fn same_as_general_rejects_a_wrong_fast_answer() {
+        same_as_general("test", &int(1), || int(2));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! 2. **Closed forms are Rat-exact**: every shape-specialized fast path
 //!    agrees exactly — not approximately — with the always-general
 //!    `*_envelope` computation, on random shaped operands. Together
-//!    with memoization purity this is what makes kernel-on and
-//!    kernel-off runs bit-identical.
+//!    with memoization purity this is what makes the kernel's answers
+//!    bit-identical to the general path's (which `debug-invariants`
+//!    also asserts on every call).
 //! 3. **The LRU cache matches a reference model**: contents and
 //!    eviction order track an executable brute-force LRU under random
 //!    op sequences.
@@ -90,26 +91,22 @@ proptest! {
 
     #[test]
     fn conv_kernel_is_exact_on_shaped_pairs(f in arb_token_bucket(), g in arb_token_bucket()) {
-        intern::set_kernel_enabled(true);
         prop_assert_eq!(minplus::conv(&f, &g), minplus::conv_envelope(&f, &g));
     }
 
     #[test]
     fn conv_kernel_is_exact_on_general_pairs(f in arb_concave(), g in arb_convex()) {
-        intern::set_kernel_enabled(true);
         prop_assert_eq!(minplus::conv(&f, &g), minplus::conv_envelope(&f, &g));
         prop_assert_eq!(minplus::conv(&g, &f), minplus::conv_envelope(&g, &f));
     }
 
     #[test]
     fn rl_conv_closed_form_is_exact(f in arb_rate_latency(), g in arb_rate_latency()) {
-        intern::set_kernel_enabled(true);
         prop_assert_eq!(minplus::conv(&f, &g), minplus::conv_envelope(&f, &g));
     }
 
     #[test]
     fn deconv_kernel_is_exact(a in arb_token_bucket(), b in arb_rate_latency()) {
-        intern::set_kernel_enabled(true);
         let kernel = minplus::deconv(&a, &b);
         let general = minplus::deconv_envelope(&a, &b);
         match (kernel, general) {
@@ -121,7 +118,6 @@ proptest! {
 
     #[test]
     fn hdev_kernel_is_exact(a in arb_token_bucket(), b in arb_rate_latency()) {
-        intern::set_kernel_enabled(true);
         let kernel = bounds::hdev(&a, &b);
         let general = bounds::hdev_envelope(&a, &b);
         match (kernel, general) {
@@ -133,7 +129,6 @@ proptest! {
 
     #[test]
     fn hdev_general_kernel_is_exact(a in arb_concave(), b in arb_convex()) {
-        intern::set_kernel_enabled(true);
         let kernel = bounds::hdev_general(&a, &b);
         let general = bounds::hdev_general_envelope(&a, &b);
         match (kernel, general) {

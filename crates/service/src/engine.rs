@@ -28,10 +28,9 @@ use crate::queue::{Pushed, ShedQueue, DEFAULT_RETRY_SEED};
 use crate::request::{AdmitRequest, Request};
 use crate::snapshot::{self, RecoverError, Snapshot};
 use dnc_core::admission::Deadline;
-use dnc_core::cache::AnalysisCache;
 use dnc_core::guard::Guard;
 use dnc_core::integrated::GroupTrace;
-use dnc_core::resilient::{FastPath, FastReport, Outcome, ResilientReport, ResilientRunner, Tier};
+use dnc_core::resilient::{FastReport, Outcome, ResilientReport, ResilientRunner, Tier};
 use dnc_net::{Flow, FlowId, Network, NetworkError, ServerId};
 use dnc_num::Rat;
 use dnc_traffic::{TokenBucket, TrafficSpec};
@@ -49,11 +48,11 @@ pub struct EngineConfig {
     /// Scoped-thread fan-out width for each certification run (1 =
     /// sequential; bounds are bit-identical at any width).
     pub workers: usize,
-    /// Use the fast path: share memoized curve operations across
-    /// requests and re-certify incrementally off the previous accepted
-    /// analysis (splicing cached bounds for unaffected pairing groups).
-    /// `false` runs every certification from scratch — the honest
-    /// baseline the throughput harness compares against.
+    /// Re-certify incrementally off the previous accepted analysis
+    /// (splicing its bounds for unaffected pairing groups). `false` runs
+    /// every certification from scratch — the baseline the throughput
+    /// harness compares against. Either way the analysis memo tables are
+    /// the process-wide ones every run consults.
     pub incremental: bool,
     /// Seed for the shed queue's deterministic retry-after jitter (see
     /// [`ShedQueue::retry_after`]). Same seed + same shed history ⇒
@@ -63,14 +62,6 @@ pub struct EngineConfig {
     /// operations (`None` disables compaction). Bounds recovery cost by
     /// churn since the last snapshot instead of lifetime history.
     pub snapshot_every: Option<u64>,
-    /// Memo tables to certify against. `None` gives the engine a
-    /// private cache, used on the fast path only. Providing a shared
-    /// cache opts the engine into memoization even when
-    /// `incremental = false`: certifications still run from scratch
-    /// (no splice base), but curve-level memos warmed by other
-    /// engines/stages are honored — this is how the throughput
-    /// harness threads one cache through its stages.
-    pub cache: Option<std::sync::Arc<AnalysisCache>>,
 }
 
 impl Default for EngineConfig {
@@ -82,7 +73,6 @@ impl Default for EngineConfig {
             incremental: true,
             shed_seed: DEFAULT_RETRY_SEED,
             snapshot_every: None,
-            cache: None,
         }
     }
 }
@@ -110,6 +100,10 @@ pub struct EngineStats {
     pub batched_ops: u64,
     /// Snapshots published (each followed by a journal rotation).
     pub snapshots: u64,
+    /// Pairing units Integrated certifications computed: the dirty units
+    /// of an incremental answer, every unit of a full pass. A
+    /// deterministic measure of certification work (wall time is not).
+    pub units_computed: u64,
 }
 
 /// What a recovery found in the journal and snapshot directory.
@@ -260,12 +254,6 @@ pub struct ChurnEngine {
     runner: ResilientRunner,
     queue: ShedQueue,
     stats: EngineStats,
-    /// Memo tables shared across certifications — private by default,
-    /// externally shared when [`EngineConfig::cache`] was provided.
-    cache: std::sync::Arc<AnalysisCache>,
-    /// Whether `cache` came from the config (and must be honored even
-    /// with `incremental = false`).
-    shared_cache: bool,
     /// The group trace of the last analysis accepted for the live
     /// network — the splice base for incremental re-certification.
     /// Always in sync with `net`: refreshed on commit, kept on rollback
@@ -304,8 +292,6 @@ impl ChurnEngine {
             },
             queue: ShedQueue::with_seed(config.queue_capacity, config.shed_seed),
             stats: EngineStats::default(),
-            shared_cache: config.cache.is_some(),
-            cache: config.cache.unwrap_or_default(),
             trace: None,
             incremental: config.incremental,
         })
@@ -667,25 +653,13 @@ impl ChurnEngine {
         Ack::Queried { entries }
     }
 
-    /// Run the guarded certification chain on a staged network. On the
-    /// fast path this shares the memo cache across requests and — given
-    /// a splice base — re-analyzes only the pairing groups reachable
-    /// from the mutation's `seed` servers; otherwise every run is from
-    /// scratch.
+    /// Run the guarded certification chain on a staged network. When
+    /// incremental, and given a splice base, only the pairing groups
+    /// reachable from the mutation's `seed` servers are re-analyzed;
+    /// otherwise every run is from scratch.
     fn certify(&self, staged: &Network, prev: Option<(&GroupTrace, &[ServerId])>) -> FastReport {
-        if !self.incremental && !self.shared_cache {
-            return self.runner.analyze_fast(staged, None);
-        }
-        // Non-incremental engines with a shared cache memoize curve
-        // operations but never splice off a previous trace.
         let prev = if self.incremental { prev } else { None };
-        let fast = self.runner.analyze_fast(
-            staged,
-            Some(FastPath {
-                cache: &self.cache,
-                prev,
-            }),
-        );
+        let fast = self.runner.analyze_fast(staged, prev);
         if let Some((dirty, _total)) = fast.dirty_units {
             dnc_telemetry::counter("churn.dirty_groups", dirty as u64);
         }
@@ -724,6 +698,7 @@ impl ChurnEngine {
         });
         let seed = req.route.clone();
         let fast = self.certify(&staged, self.trace.as_ref().map(|t| (t, seed.as_slice())));
+        self.stats.units_computed += fast.units_computed() as u64;
         let report = fast.report;
         let retried = was_retried(&report);
         if retried {
@@ -812,6 +787,7 @@ impl ChurnEngine {
             t
         });
         let fast = self.certify(&staged, prev_trace.as_ref().map(|t| (t, seed.as_slice())));
+        self.stats.units_computed += fast.units_computed() as u64;
         let report = fast.report;
         if was_retried(&report) {
             self.stats.retries += 1;

@@ -2,7 +2,6 @@
 //! the parallel fan-out and Rat-exactness of incremental
 //! re-certification against the from-scratch analysis.
 
-use dnc_core::cache::AnalysisCache;
 use dnc_core::integrated::Integrated;
 use dnc_core::DelayAnalysis;
 use dnc_net::builders::{random_feedforward, tandem, TandemOptions};
@@ -59,15 +58,14 @@ proptest! {
     ) {
         let t = tandem(n, int(1), rat(1, 16), TandemOptions::default());
         let alg = Integrated::paper();
-        let cache = AnalysisCache::new();
         let (base_report, base_trace) = alg
-            .analyze_traced(&t.net, Some(&cache))
+            .analyze_traced(&t.net)
             .expect("tandem analyzes");
 
         // No mutation: the splice must apply, recompute nothing, and
         // reproduce the certification bit-for-bit.
         let idle = alg
-            .analyze_incremental(&t.net, &base_trace, &[], Some(&cache))
+            .analyze_incremental(&t.net, &base_trace, &[])
             .expect("tandem analyzes")
             .expect("unchanged partition always splices");
         prop_assert_eq!(idle.dirty_units, 0);
@@ -93,7 +91,7 @@ proptest! {
             })
             .expect("light extra flow is valid");
         let admitted = alg
-            .analyze_incremental(&grown, &base_trace, &route, Some(&cache))
+            .analyze_incremental(&grown, &base_trace, &route)
             .expect("grown tandem analyzes");
         if let Some(out) = admitted {
             let scratch = alg.analyze(&grown).expect("grown tandem analyzes");
@@ -109,7 +107,7 @@ proptest! {
             let mut prev = out.trace.clone();
             prev.remap_release(victim);
             let released = alg
-                .analyze_incremental(&back, &prev, &route, Some(&cache))
+                .analyze_incremental(&back, &prev, &route)
                 .expect("shrunk tandem analyzes");
             if let Some(out) = released {
                 prop_assert_eq!(out.report.to_csv(), base_report.to_csv());
