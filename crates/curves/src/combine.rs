@@ -1,37 +1,125 @@
 //! Pointwise combinations of curves: sum, difference, minimum, maximum.
+//!
+//! Each one is a single merge walk over both operands' breakpoints, in
+//! order: every piece's slope is computed once, on entering the piece, and
+//! `f − g` once per abscissa. The result is emitted already canonical
+//! through [`CanonicalBuilder`], so nothing is sorted, deduplicated or
+//! re-canonicalized.
 
-use crate::curve::Curve;
+use crate::curve::{CanonicalBuilder, Curve};
 use dnc_num::Rat;
 
-/// Merge the breakpoint abscissae of two curves (sorted, deduplicated).
-fn merged_xs(f: &Curve, g: &Curve) -> Vec<Rat> {
-    let mut xs: Vec<Rat> = f
-        .breakpoint_xs()
-        .into_iter()
-        .chain(g.breakpoint_xs())
-        .collect();
-    xs.sort();
-    xs.dedup();
-    xs
+/// A cursor on one curve's current piece: it starts at `(x0, y0)`, has
+/// slope `slope`, and ends where `rest` begins (it is the unbounded tail
+/// when `rest` is empty).
+struct Piece<'a> {
+    x0: Rat,
+    y0: Rat,
+    slope: Rat,
+    rest: &'a [(Rat, Rat)],
+    final_slope: Rat,
+}
+
+impl<'a> Piece<'a> {
+    fn first(c: &'a Curve) -> Piece<'a> {
+        let rest = c.points().get(1..).unwrap_or_default();
+        Piece::starting(Rat::ZERO, c.at_zero(), rest, c.final_slope())
+    }
+
+    /// The piece from `(x0, y0)` to the first point of `rest`; its slope
+    /// is computed here, once.
+    fn starting(x0: Rat, y0: Rat, rest: &'a [(Rat, Rat)], final_slope: Rat) -> Piece<'a> {
+        let slope = match rest.first() {
+            Some(&(x1, y1)) => (y1 - y0) / (x1 - x0),
+            None => final_slope,
+        };
+        Piece {
+            x0,
+            y0,
+            slope,
+            rest,
+            final_slope,
+        }
+    }
+
+    /// Where the next piece starts; `None` on the tail.
+    fn end(&self) -> Option<Rat> {
+        self.rest.first().map(|&(x, _)| x)
+    }
+
+    /// The value at `x`, which lies on this piece.
+    fn at(&self, x: Rat) -> Rat {
+        if x == self.x0 {
+            self.y0
+        } else {
+            self.y0 + self.slope * (x - self.x0)
+        }
+    }
+
+    /// Step onto the next piece if it starts at `x`.
+    fn advance_to(&mut self, x: Rat) {
+        if let Some((&(x1, y1), rest)) = self.rest.split_first() {
+            if x1 == x {
+                *self = Piece::starting(x1, y1, rest, self.final_slope);
+            }
+        }
+    }
+}
+
+/// Both curves at one abscissa of the merged breakpoint list: their values
+/// there and their slopes up to the next abscissa (`next`, `None` on the
+/// joint tail).
+#[derive(Clone, Copy)]
+struct Knot {
+    x: Rat,
+    f: Rat,
+    g: Rat,
+    sf: Rat,
+    sg: Rat,
+    next: Option<Rat>,
+}
+
+/// Visit every abscissa that is a breakpoint of `f` or of `g` once, in
+/// increasing order.
+fn walk(f: &Curve, g: &Curve, mut visit: impl FnMut(&Knot)) {
+    let (mut pf, mut pg) = (Piece::first(f), Piece::first(g));
+    let mut x = Rat::ZERO;
+    loop {
+        let next = match (pf.end(), pg.end()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        visit(&Knot {
+            x,
+            f: pf.at(x),
+            g: pg.at(x),
+            sf: pf.slope,
+            sg: pg.slope,
+            next,
+        });
+        let Some(nx) = next else { return };
+        pf.advance_to(nx);
+        pg.advance_to(nx);
+        x = nx;
+    }
 }
 
 impl Curve {
     /// Pointwise sum `f + g` — preserves concavity, convexity, and the
     /// nondecreasing property when both operands have them.
     pub fn add(&self, g: &Curve) -> Curve {
-        let xs = merged_xs(self, g);
-        let pts = xs
-            .into_iter()
-            .map(|x| (x, self.eval(x) + g.eval(x)))
-            .collect();
-        Curve::from_points(pts, self.final_slope() + g.final_slope())
+        let mut out = CanonicalBuilder::new();
+        walk(self, g, |k| out.push(k.x, || k.f + k.g, k.sf + k.sg));
+        out.finish()
     }
 
     /// Pointwise difference `f − g`. The result is generally *not*
     /// nondecreasing even for nondecreasing operands; callers re-check
     /// shape predicates where they matter.
     pub fn sub(&self, g: &Curve) -> Curve {
-        self.add(&g.scale_y(-Rat::ONE))
+        let mut out = CanonicalBuilder::new();
+        walk(self, g, |k| out.push(k.x, || k.f - k.g, k.sf - k.sg));
+        out.finish()
     }
 
     /// Sum of many curves — concave (resp. nondecreasing) when every
@@ -57,56 +145,44 @@ impl Curve {
         self.extremum(g, false)
     }
 
+    /// One walk for `min` and `max`. Between consecutive abscissae both
+    /// curves are affine, so `d = f − g` is too: it crosses zero at most
+    /// once, where `d` changes strict sign between the ends, or once in the
+    /// tail, where `d` and the slope difference have opposite signs.
     fn extremum(&self, g: &Curve, take_min: bool) -> Curve {
-        let pick = |a: Rat, b: Rat| if take_min { a.min(b) } else { a.max(b) };
-        let mut xs = merged_xs(self, g);
-
-        // Insert interior crossing points: between consecutive xs both
-        // curves are linear, so f − g is linear and crosses at most once.
-        let mut crossings: Vec<Rat> = Vec::new();
-        for w in xs.windows(2) {
-            let (a, b) = (w[0], w[1]); // audit: allow(index, windows(2) yields exactly two elements)
-            let da = self.eval(a) - g.eval(a);
-            let db = self.eval(b) - g.eval(b);
-            if (da.is_positive() && db.is_negative()) || (da.is_negative() && db.is_positive()) {
-                // Linear interpolation root of the difference.
-                let t = a + (b - a) * (da / (da - db));
-                crossings.push(t);
-            }
-        }
-        // Tail crossing after the last breakpoint.
-        let last = *xs.last().unwrap(); // audit: allow(unwrap, merged_xs of non-empty curves is non-empty)
-        let dv = self.eval(last) - g.eval(last);
-        let ds = self.final_slope() - g.final_slope();
-        if !ds.is_zero() {
-            // diff(t) = dv + ds (t - last) = 0 at t = last - dv/ds, when
-            // strictly beyond `last`.
-            let t = last - dv / ds;
-            if t > last {
-                crossings.push(t);
-            }
-        }
-        xs.extend(crossings);
-        xs.sort();
-        xs.dedup();
-
-        let pts: Vec<(Rat, Rat)> = xs
-            .iter()
-            .map(|&x| (x, pick(self.eval(x), g.eval(x))))
-            .collect();
-
-        // Tail: after the last point there are no more crossings, so the
-        // extremum follows a single curve. Decide by value then slope.
-        let lx = *xs.last().unwrap(); // audit: allow(unwrap, merged_xs of non-empty curves is non-empty)
-        let (fv, gv) = (self.eval(lx), g.eval(lx));
-        let final_slope = if fv == gv {
-            pick(self.final_slope(), g.final_slope())
-        } else if (fv < gv) == take_min {
-            self.final_slope()
-        } else {
-            g.final_slope()
+        // Whether f is taken where `f − g` has sign `s` (f on ties).
+        let takes_f = |s: i128| s == 0 || (s < 0) == take_min;
+        // The crossing on knot `k`'s pieces, where f − g is `d` at `k.x`.
+        let cross = |out: &mut CanonicalBuilder, k: &Knot, d: Rat| {
+            let ds = k.sf - k.sg;
+            let t = k.x - d / ds;
+            let slope = if takes_f(ds.signum()) { k.sf } else { k.sg };
+            out.push(t, || k.f + k.sf * (t - k.x), slope);
         };
-        Curve::from_points(pts, final_slope)
+        let mut out = CanonicalBuilder::new();
+        let mut prev: Option<(Knot, Rat)> = None;
+        walk(self, g, |k| {
+            let d = k.f - k.g;
+            if let Some((p, pd)) = &prev {
+                if pd.signum() * d.signum() < 0 {
+                    cross(&mut out, p, *pd);
+                }
+            }
+            // The side right of `x` follows the sign of `d`, or where the
+            // curves meet, that of the slope difference.
+            let s = if d.is_zero() {
+                (k.sf - k.sg).signum()
+            } else {
+                d.signum()
+            };
+            let (y, slope) = if takes_f(s) { (k.f, k.sf) } else { (k.g, k.sg) };
+            out.push(k.x, || y, slope);
+            if k.next.is_none() && d.signum() * (k.sf - k.sg).signum() < 0 {
+                cross(&mut out, k, d);
+            }
+            prev = Some((*k, d));
+        });
+        out.finish()
     }
 
     /// Minimum of many curves — concave (resp. nondecreasing) when every

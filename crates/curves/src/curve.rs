@@ -73,6 +73,25 @@ impl PointBuf {
         }
     }
 
+    /// Append a point, spilling to the heap past [`INLINE_POINTS`].
+    fn push(&mut self, p: (Rat, Rat)) {
+        match self {
+            PointBuf::Inline { len, buf } => match buf.get_mut(*len as usize) {
+                Some(slot) => {
+                    *slot = p;
+                    *len += 1;
+                }
+                None => {
+                    let mut v = Vec::with_capacity(2 * INLINE_POINTS);
+                    v.extend_from_slice(buf);
+                    v.push(p);
+                    *self = PointBuf::Heap(v);
+                }
+            },
+            PointBuf::Heap(v) => v.push(p),
+        }
+    }
+
     /// Apply `f` to every point, preserving the storage variant (no
     /// allocation for inline curves).
     fn map(&self, f: impl Fn(Rat, Rat) -> (Rat, Rat)) -> PointBuf {
@@ -153,6 +172,54 @@ pub struct Curve {
     points: PointBuf,
     /// Slope after the last breakpoint.
     final_slope: Rat,
+}
+
+/// Builds a canonical [`Curve`] left to right from points given with the
+/// slope of the piece that starts at each. A point is kept only where that
+/// slope changes, which is exactly the canonical form, so the result needs
+/// no [`Curve::canonicalize`] pass. Up to [`INLINE_POINTS`] points stay
+/// inline; a spilled list is trimmed to its length.
+pub(crate) struct CanonicalBuilder {
+    points: PointBuf,
+    /// Slope of the last kept piece; `None` before the first point.
+    slope: Option<Rat>,
+}
+
+impl CanonicalBuilder {
+    pub(crate) fn new() -> CanonicalBuilder {
+        CanonicalBuilder {
+            points: PointBuf::Inline {
+                len: 0,
+                buf: [(Rat::ZERO, Rat::ZERO); INLINE_POINTS],
+            },
+            slope: None,
+        }
+    }
+
+    /// Continue with the piece that starts at `x` (beyond every earlier
+    /// point), has value `y()` there and slope `slope` to its right.
+    /// The value is only computed when the point is kept.
+    #[inline]
+    pub(crate) fn push(&mut self, x: Rat, y: impl FnOnce() -> Rat, slope: Rat) {
+        if self.slope != Some(slope) {
+            self.points.push((x, y()));
+            self.slope = Some(slope);
+        }
+    }
+
+    /// The curve, whose final slope is that of the last piece pushed.
+    pub(crate) fn finish(mut self) -> Curve {
+        if let PointBuf::Heap(v) = &mut self.points {
+            v.shrink_to_fit();
+        }
+        let c = Curve {
+            points: self.points,
+            final_slope: self.slope.unwrap_or(Rat::ZERO),
+        };
+        crate::invariant::well_formed(&c, "CanonicalBuilder");
+        crate::invariant::canonical(&c, "CanonicalBuilder");
+        c
+    }
 }
 
 /// One maximal linear piece of a [`Curve`], as reported by

@@ -78,6 +78,21 @@ pub(crate) fn well_formed(c: &Curve, ctx: &str) {
 #[inline(always)]
 pub(crate) fn well_formed(_c: &Curve, _ctx: &str) {}
 
+/// Canonical form: re-canonicalizing the breakpoints changes nothing (no
+/// collinear interior point, no last point on the final line).
+#[cfg(feature = "debug-invariants")]
+pub(crate) fn canonical(c: &Curve, ctx: &str) {
+    let again = Curve::from_points(c.points().to_vec(), c.final_slope());
+    assert!(
+        *c == again,
+        "invariant[{ctx}]: {c} is not canonical ({again})"
+    );
+}
+
+#[cfg(not(feature = "debug-invariants"))]
+#[inline(always)]
+pub(crate) fn canonical(_c: &Curve, _ctx: &str) {}
+
 /// Wide-sense-increasing check.
 #[cfg(feature = "debug-invariants")]
 pub(crate) fn nondecreasing(c: &Curve, ctx: &str) {

@@ -44,6 +44,65 @@ fn arb_convex() -> impl Strategy<Value = Curve> {
     })
 }
 
+/// Any curve: 1–5 breakpoints on a half-unit grid (so operands share
+/// abscissae), values of either sign, pieces rising or falling, and any
+/// final slope — negative, decreasing and non-convex shapes included.
+fn arb_any() -> impl Strategy<Value = Curve> {
+    (
+        proptest::collection::vec((1i128..5, -12i128..12), 0..5),
+        -12i128..12,
+        -6i128..6,
+        1i128..4,
+    )
+        .prop_map(|(steps, y0, slope, den)| {
+            let mut pts = vec![(Rat::ZERO, rat(y0, 2))];
+            let mut x = Rat::ZERO;
+            for (dx, y) in steps {
+                x += rat(dx, 2);
+                pts.push((x, rat(y, 2)));
+            }
+            Curve::from_points(pts, rat(slope, den))
+        })
+}
+
+/// Where two PWL results must agree for them to be the same function:
+/// every breakpoint of `curves`, the midpoint of each gap between them (a
+/// missing kink inside a gap shows there), and one unit past the last.
+fn exact_xs(curves: &[&Curve]) -> Vec<Rat> {
+    let mut xs: Vec<Rat> = curves.iter().flat_map(|c| c.breakpoint_xs()).collect();
+    xs.sort();
+    xs.dedup();
+    let mids: Vec<Rat> = xs.windows(2).map(|w| (w[0] + w[1]) / int(2)).collect();
+    let last = *xs.last().unwrap();
+    xs.extend(mids);
+    xs.push(last + Rat::ONE);
+    xs
+}
+
+/// `out` is `op` applied pointwise to `f` and `g`, with final slope
+/// `slope`, and canonical.
+fn check_pointwise(
+    f: &Curve,
+    g: &Curve,
+    out: &Curve,
+    op: impl Fn(Rat, Rat) -> Rat,
+    slope: Rat,
+) -> Result<(), TestCaseError> {
+    for t in exact_xs(&[f, g, out]) {
+        prop_assert_eq!(
+            out.eval(t),
+            op(f.eval(t), g.eval(t)),
+            "at t={} in {}",
+            t,
+            out
+        );
+    }
+    prop_assert_eq!(out.final_slope(), slope);
+    let canonical = Curve::from_points(out.points().to_vec(), out.final_slope());
+    prop_assert_eq!(&canonical, out);
+    Ok(())
+}
+
 /// Sample points for spot checks.
 fn grid(limit: i128) -> Vec<Rat> {
     (0..=limit * 4).map(|n| rat(n, 4)).collect()
@@ -292,4 +351,56 @@ proptest! {
         let d = minplus::deconv(&a, &b).unwrap();
         prop_assert_eq!(d, Curve::token_bucket(s + rho * t, rho));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn pointwise_ops_are_exact_on_any_curves(f in arb_any(), g in arb_any()) {
+        let (fs, gs) = (f.final_slope(), g.final_slope());
+        check_pointwise(&f, &g, &f.min(&g), Rat::min, fs.min(gs))?;
+        check_pointwise(&f, &g, &f.max(&g), Rat::max, fs.max(gs))?;
+        check_pointwise(&f, &g, &f.add(&g), |a, b| a + b, fs + gs)?;
+        check_pointwise(&f, &g, &f.sub(&g), |a, b| a - b, fs - gs)?;
+    }
+}
+
+#[test]
+fn min_max_cross_inside_a_piece_and_in_the_tail() {
+    // f = 2t up to (2, 4), then slope 1/2; g = 1 + t. They cross inside
+    // f's first piece at (1, 2) and again in the joint tail at (4, 5).
+    let f = Curve::from_points(vec![(int(0), int(0)), (int(2), int(4))], rat(1, 2));
+    let g = Curve::affine(int(1), int(1));
+    assert_eq!(
+        f.min(&g),
+        Curve::from_points(
+            vec![(int(0), int(0)), (int(1), int(2)), (int(4), int(5))],
+            rat(1, 2)
+        )
+    );
+    assert_eq!(
+        f.max(&g),
+        Curve::from_points(
+            vec![
+                (int(0), int(1)),
+                (int(1), int(2)),
+                (int(2), int(4)),
+                (int(4), int(5))
+            ],
+            int(1)
+        )
+    );
+}
+
+#[test]
+fn min_max_at_a_tangency_do_not_cross() {
+    // f = |t − 2| touches g = 0 at t = 2 without crossing it: no point is
+    // inserted, and each side keeps one curve.
+    let f = Curve::from_points(vec![(int(0), int(2)), (int(2), int(0))], int(1));
+    let g = Curve::zero();
+    assert_eq!(f.min(&g), g);
+    assert_eq!(f.max(&g), f);
+    assert_eq!(g.min(&f), g);
+    assert_eq!(g.max(&f), f);
 }

@@ -11,13 +11,34 @@
 //! leans on heavily.
 //!
 //! [`Rat`] is a reduced fraction over `i128` with denominators kept strictly
-//! positive. Intermediate products are cross-reduced before multiplying, so
-//! overflow only occurs for genuinely astronomical values; when it does, the
-//! operators panic with a diagnostic rather than silently wrapping, and the
-//! fallible `try_add`/`try_sub`/`try_mul`/`try_div` variants return
-//! [`NumError::Overflow`] for callers that want to degrade gracefully.
-//! Comparison (`Ord`) widens cross products to 256 bits internally, so it is
-//! total and panic-free for *every* pair of representable rationals.
+//! positive, in the symmetric range `|num|, den ≤ i128::MAX`. Reduced
+//! fractions are unique, so equality and hashing are structural, and how a
+//! result was reduced never shows in its value.
+//!
+//! Arithmetic reduces as it goes, and takes a word-sized path whenever both
+//! operands' parts fit in `i64` (nearly every operand an analysis sees):
+//!
+//! * gcds are binary (shift-and-subtract) on `u64`, and on `u128` only for
+//!   wide operands;
+//! * `a/b + c/d` follows Knuth (TAOCP §4.5.1): one gcd `g` of the
+//!   denominators, then a reduction by `gcd(t, g)` of the new numerator
+//!   `t`. Equal denominators skip the first gcd, coprime ones the second,
+//!   and two integers need none;
+//! * `a/b · c/d` cross-reduces `a/d` and `c/b`; the product is then already
+//!   in lowest terms. Two integers take one multiply;
+//! * `recip` swaps numerator and denominator without a gcd, so division
+//!   costs what multiplication does;
+//! * comparison compares numerators over equal denominators, and the exact
+//!   `i128` cross products of word-sized parts; otherwise it widens the
+//!   cross products to 256 bits, so it is total and panic-free for *every*
+//!   pair of representable rationals.
+//!
+//! Overflow only occurs for genuinely astronomical values; when it does, the
+//! operators panic with a `Rat overflow` diagnostic rather than silently
+//! wrapping, and the fallible `try_add`/`try_sub`/`try_mul`/`try_div`
+//! variants return [`NumError::Overflow`] for callers that want to degrade
+//! gracefully. A numerator of `i128::MIN` counts as overflow, so negation,
+//! `abs` and `recip` never wrap.
 //!
 //! ```
 //! use dnc_num::Rat;

@@ -28,21 +28,83 @@ impl fmt::Display for NumError {
 
 impl std::error::Error for NumError {}
 
-/// Greatest common divisor of two `i128`s (always non-negative; `gcd(0,0)=0`).
-pub fn gcd_i128(mut a: i128, mut b: i128) -> i128 {
-    a = a.unsigned_abs() as i128;
-    b = b.unsigned_abs() as i128;
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+/// Greatest common divisor of the magnitudes of two `i128`s (`gcd(0, 0) =
+/// 0`). Unsigned, so it is never negative: `gcd(0, i128::MIN)` is `2¹²⁷`.
+pub fn gcd_i128(a: i128, b: i128) -> u128 {
+    gcd_u128(a.unsigned_abs(), b.unsigned_abs())
+}
+
+/// Binary (Stein) gcd on one machine word: shifts and subtractions only.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
     }
-    a
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// Binary gcd on `u128`, handing over to [`gcd_u64`] once both operands
+/// fit in a word. A word-sized operand against a wide one takes a single
+/// Euclid step first, so a small divisor never walks the wide value bit
+/// by bit.
+fn gcd_u128(a: u128, b: u128) -> u128 {
+    let (small, big) = if a <= b { (a, b) } else { (b, a) };
+    if big >> 64 == 0 {
+        return u128::from(gcd_u64(small as u64, big as u64));
+    }
+    if small == 0 {
+        return big;
+    }
+    if small >> 64 == 0 {
+        return u128::from(gcd_u64(small as u64, (big % small) as u64));
+    }
+    let shift = (small | big).trailing_zeros();
+    let (mut a, mut b) = (small >> small.trailing_zeros(), big);
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        if b >> 64 == 0 {
+            return u128::from(gcd_u64(a as u64, b as u64)) << shift;
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `x / g` for `1 ≤ g ≤ i64::MAX` (every caller's `g` divides a word-sized
+/// denominator): no division at all for `g = 1`, a 64-bit one when `x`
+/// fits in a word too.
+#[inline]
+fn div_by(x: i128, g: u64) -> i128 {
+    if g == 1 {
+        x
+    } else if let Ok(w) = i64::try_from(x) {
+        i128::from(w / g as i64)
+    } else {
+        x / i128::from(g)
+    }
 }
 
 /// An exact rational number.
 ///
-/// Invariants: `den > 0` and `gcd(num, den) == 1` (with `0` stored as `0/1`).
+/// Invariants: `den > 0`, `gcd(num, den) == 1` (with `0` stored as `0/1`),
+/// and `num != i128::MIN`: the range is symmetric, so negation, `abs` and
+/// `recip` never wrap. A result whose reduced numerator or denominator
+/// would be `±2¹²⁷` counts as overflow.
 /// Because of the invariants, derived structural equality would be correct,
 /// but `Eq`/`Ord`/`Hash` are implemented explicitly to make the contract
 /// obvious and independent of field order.
@@ -63,24 +125,71 @@ impl Rat {
     /// Construct `num/den`, reducing to lowest terms.
     ///
     /// # Panics
-    /// Panics if `den == 0`.
+    /// Panics if `den == 0`, and with `Rat overflow` when the reduced
+    /// numerator or denominator is `±2¹²⁷`.
     #[inline]
     pub fn new(num: i128, den: i128) -> Rat {
         assert!(den != 0, "Rat::new: zero denominator (num={num})");
-        let sign = if den < 0 { -1 } else { 1 };
-        let g = gcd_i128(num, den);
-        if g == 0 {
-            return Rat::ZERO;
+        Rat::reduce(num, den)
+            // audit: allow(panic, documented panic: the reduced fraction is outside the symmetric range)
+            .unwrap_or_else(|| panic!("Rat overflow in Rat::new({num}, {den})"))
+    }
+
+    /// `num/den` (`den != 0`) in lowest terms, or `None` when it is out of
+    /// range. Integers return at once; word-sized parts reduce in 64 bits.
+    fn reduce(num: i128, den: i128) -> Option<Rat> {
+        if den == 1 {
+            return Rat::checked_from_int(num);
         }
-        Rat {
-            num: sign * (num / g),
-            den: sign * (den / g),
-        }
+        let negative = (num < 0) != (den < 0);
+        let (n, d) = (num.unsigned_abs(), den.unsigned_abs());
+        let (n, d) = match (u64::try_from(n), u64::try_from(d)) {
+            (Ok(n), Ok(d)) => {
+                let g = gcd_u64(n, d);
+                (u128::from(n / g), u128::from(d / g))
+            }
+            _ => {
+                let g = gcd_u128(n, d);
+                (n / g, d / g)
+            }
+        };
+        Rat::from_parts(negative, n, d)
+    }
+
+    /// `±n/d` from parts already in lowest terms, or `None` when either
+    /// magnitude is outside the symmetric range `|·| ≤ i128::MAX`.
+    #[inline]
+    fn from_parts(negative: bool, n: u128, d: u128) -> Option<Rat> {
+        let (n, den) = (i128::try_from(n).ok()?, i128::try_from(d).ok()?);
+        Some(Rat {
+            num: if negative { -n } else { n },
+            den,
+        })
+    }
+
+    /// `n/1`, or `None` for `i128::MIN`.
+    #[inline]
+    fn checked_from_int(n: i128) -> Option<Rat> {
+        (n != i128::MIN).then_some(Rat { num: n, den: 1 })
+    }
+
+    /// The numerator and denominator as machine words when both fit
+    /// (`den ≤ i64::MAX`): a product of two such parts fits in `i128`.
+    #[inline]
+    fn words(self) -> Option<(i64, u64)> {
+        let num = i64::try_from(self.num).ok()?;
+        let den = i64::try_from(self.den).ok()?;
+        Some((num, den as u64))
     }
 
     /// Construct an integer-valued rational.
+    ///
+    /// # Panics
+    /// Panics with `Rat overflow` for `i128::MIN`, the one `i128` outside
+    /// the symmetric range.
     #[inline]
     pub const fn from_int(n: i128) -> Rat {
+        assert!(n != i128::MIN, "Rat overflow in Rat::from_int(i128::MIN)");
         Rat { num: n, den: 1 }
     }
 
@@ -143,17 +252,17 @@ impl Rat {
     #[inline]
     pub fn recip(self) -> Rat {
         assert!(self.num != 0, "Rat::recip of zero");
-        Rat::new(self.den, self.num)
+        // Swapping a reduced fraction keeps it reduced; only the sign
+        // moves to the new numerator. `|num| ≤ i128::MAX` by the invariant.
+        Rat {
+            num: self.den * self.num.signum(),
+            den: self.num.abs(),
+        }
     }
 
     /// Largest integer `<= self`.
     pub fn floor(self) -> i128 {
-        if self.num >= 0 {
-            self.num / self.den
-        } else {
-            // Round toward negative infinity.
-            -((-self.num + self.den - 1) / self.den)
-        }
+        self.num.div_euclid(self.den)
     }
 
     /// Smallest integer `>= self`.
@@ -198,27 +307,46 @@ impl Rat {
     }
 
     /// Checked addition; `None` on overflow.
+    ///
+    /// Knuth, TAOCP §4.5.1: with `d1 = gcd(b, d)`, the numerator
+    /// `t = a·(d/d1) + c·(b/d1)` of `a/b + c/d` shares at most `gcd(t, d1)`
+    /// with the denominator, so one more gcd reduces the sum. Equal
+    /// denominators skip the first gcd, and coprime ones the second.
     pub fn checked_add(self, rhs: Rat) -> Option<Rat> {
-        // a/b + c/d = (a*(d/g) + c*(b/g)) / (b/g*d), g = gcd(b, d).
-        let g = gcd_i128(self.den, rhs.den);
-        let db = self.den / g;
-        let dd = rhs.den / g;
-        let num = self
-            .num
-            .checked_mul(dd)?
-            .checked_add(rhs.num.checked_mul(db)?)?;
-        let den = self.den.checked_mul(dd)?;
-        Some(Rat::new(num, den))
+        if let (Some((a, b)), Some((c, d))) = (self.words(), rhs.words()) {
+            return Some(add_words(a, b, c, d));
+        }
+        let (a, b, c, d) = (self.num, self.den, rhs.num, rhs.den);
+        let (d1, bq, dq) = if b == d {
+            (b, 1, 1)
+        } else {
+            let g = gcd_u128(b as u128, d as u128) as i128;
+            (g, b / g, d / g)
+        };
+        let t = a.checked_mul(dq)?.checked_add(c.checked_mul(bq)?)?;
+        let d2 = gcd_u128(t.unsigned_abs(), d1 as u128);
+        let den = bq.checked_mul(d / d2 as i128)?;
+        Rat::from_parts(t < 0, t.unsigned_abs() / d2, den as u128)
     }
 
     /// Checked multiplication; `None` on overflow.
+    ///
+    /// Cross-reduces `a/d` and `c/b` before multiplying; since `a/b` and
+    /// `c/d` are already reduced, the product of the reduced parts is in
+    /// lowest terms, so it needs no third gcd.
     pub fn checked_mul(self, rhs: Rat) -> Option<Rat> {
-        // Cross-reduce before multiplying to keep intermediates small.
-        let g1 = gcd_i128(self.num, rhs.den);
-        let g2 = gcd_i128(rhs.num, self.den);
-        let num = (self.num / g1).checked_mul(rhs.num / g2)?;
-        let den = (self.den / g2).checked_mul(rhs.den / g1)?;
-        Some(Rat::new(num, den))
+        if let (Some((a, b)), Some((c, d))) = (self.words(), rhs.words()) {
+            return Some(mul_words(a, b, c, d));
+        }
+        let (a, b, c, d) = (self.num, self.den, rhs.num, rhs.den);
+        if b == 1 && d == 1 {
+            return Rat::checked_from_int(a.checked_mul(c)?);
+        }
+        let g1 = gcd_u128(a.unsigned_abs(), d as u128) as i128;
+        let g2 = gcd_u128(c.unsigned_abs(), b as u128) as i128;
+        let num = (a / g1).checked_mul(c / g2)?;
+        let den = (b / g2).checked_mul(d / g1)?;
+        Rat::from_parts(num < 0, num.unsigned_abs(), den as u128)
     }
 
     /// Fallible addition: [`NumError::Overflow`] instead of panicking.
@@ -369,13 +497,66 @@ fn cmp_products(a1: i128, b1: i128, a2: i128, b2: i128) -> Ordering {
     }
 }
 
+/// `a/b + c/d` for word-sized parts (`b, d > 0`): every intermediate of
+/// Knuth's form fits in `i128` and so does the result, so nothing is
+/// checked.
+fn add_words(a: i64, b: u64, c: i64, d: u64) -> Rat {
+    let (d1, bq, dq) = if b == d {
+        (b, 1, 1)
+    } else {
+        match gcd_u64(b, d) {
+            1 => (1, b, d),
+            g => (g, b / g, d / g),
+        }
+    };
+    let t = i128::from(a) * i128::from(dq) + i128::from(c) * i128::from(bq);
+    let d2 = if d1 == 1 {
+        1
+    } else {
+        gcd_u128(t.unsigned_abs(), u128::from(d1)) as u64
+    };
+    Rat {
+        num: div_by(t, d2),
+        den: i128::from(bq) * div_by(i128::from(d), d2),
+    }
+}
+
+/// `a/b · c/d` for word-sized parts (`b, d > 0`): the cross-reduced
+/// product of two words fits in `i128`, so nothing is checked. Two
+/// integers cost one multiply.
+fn mul_words(a: i64, b: u64, c: i64, d: u64) -> Rat {
+    let g1 = if d == 1 {
+        1
+    } else {
+        gcd_u64(a.unsigned_abs(), d)
+    };
+    let g2 = if b == 1 {
+        1
+    } else {
+        gcd_u64(c.unsigned_abs(), b)
+    };
+    Rat {
+        num: div_by(i128::from(a), g1) * div_by(i128::from(c), g2),
+        den: div_by(i128::from(b), g2) * div_by(i128::from(d), g1),
+    }
+}
+
 impl Ord for Rat {
     fn cmp(&self, other: &Self) -> Ordering {
-        // a/b <=> c/d  (b, d > 0)  <=>  a*d <=> c*b. Cross-reduce, then
-        // compare the exact 256-bit cross products — `cmp` is total for
-        // every pair of representable rationals, never panicking even
-        // where `checked_mul` would report overflow.
-        let g = gcd_i128(self.den, other.den);
+        // a/b <=> c/d  (b, d > 0)  <=>  a*d <=> c*b.
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
+        if let (Some((a, b)), Some((c, d))) = (self.words(), other.words()) {
+            // Word-sized parts: both cross products fit in `i128`.
+            let ad = i128::from(a) * i128::from(d);
+            return ad.cmp(&(i128::from(c) * i128::from(b)));
+        }
+        // Otherwise cross-reduce, then compare the exact 256-bit cross
+        // products — `cmp` is total for every pair of representable
+        // rationals, never panicking even where `checked_mul` would
+        // report overflow.
+        let g = gcd_u128(self.den as u128, other.den as u128) as i128;
         cmp_products(self.num, other.den / g, other.num, self.den / g)
     }
 }
@@ -512,7 +693,8 @@ impl std::error::Error for RatParseError {}
 impl FromStr for Rat {
     type Err = RatParseError;
 
-    /// Parses `"3"`, `"-3/4"`, or decimal literals like `"0.25"`.
+    /// Parses `"3"`, `"-3/4"`, or decimal literals like `"0.25"`. A
+    /// literal whose value is out of range (such as `-2¹²⁷`) is an error.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let bad = || RatParseError(s.to_string());
         let s = s.trim();
@@ -522,7 +704,7 @@ impl FromStr for Rat {
             if d == 0 {
                 return Err(bad());
             }
-            Ok(Rat::new(n, d))
+            Rat::reduce(n, d).ok_or_else(bad)
         } else if let Some((int_part, frac_part)) = s.split_once('.') {
             let neg = int_part.trim_start().starts_with('-');
             let i: i128 = if int_part.is_empty() || int_part == "-" {
@@ -539,11 +721,12 @@ impl FromStr for Rat {
             let f: i128 = frac_part.parse().map_err(|_| bad())?;
             let scale = 10i128.checked_pow(frac_part.len() as u32).ok_or_else(bad)?;
             let frac = Rat::new(f, scale);
-            let int = Rat::from_int(i);
-            Ok(if neg { int - frac } else { int + frac })
+            let int = Rat::checked_from_int(i).ok_or_else(bad)?;
+            int.checked_add(if neg { -frac } else { frac })
+                .ok_or_else(bad)
         } else {
             let n: i128 = s.parse().map_err(|_| bad())?;
-            Ok(Rat::from_int(n))
+            Rat::checked_from_int(n).ok_or_else(bad)
         }
     }
 }
@@ -740,8 +923,8 @@ mod tests {
         } else {
             let big = Rat::from_int(i128::MAX / 2 + 1);
             assert_eq!(big.saturating_add(big), Rat::from_int(i128::MAX));
-            // -big + -big is exactly i128::MIN (representable, no clamp), so
-            // push one further to actually overflow the negative end.
+            // The negative end saturates at -i128::MAX: the range is
+            // symmetric, so i128::MIN itself is already out of range.
             let neg = Rat::from_int(i128::MIN + 1);
             assert_eq!(neg.saturating_add(neg), Rat::from_int(i128::MIN + 1));
         }

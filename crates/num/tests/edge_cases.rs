@@ -1,7 +1,7 @@
 //! Edge-case tests for `Rat`: overflow paths, rounding helpers, and
 //! boundary values the property tests' small generators never reach.
 
-use dnc_num::{int, rat, Rat};
+use dnc_num::{gcd_i128, int, rat, NumError, Rat};
 
 #[test]
 fn checked_ops_detect_overflow() {
@@ -132,4 +132,106 @@ fn recip_zero_panics() {
 #[should_panic(expected = "lo > hi")]
 fn clamp_bad_range_panics() {
     let _ = Rat::ONE.clamp(int(2), int(1));
+}
+
+// The range is symmetric: a reduced numerator or denominator of ±2¹²⁷
+// is overflow, so no sign flip can wrap at `i128::MIN`.
+
+const MIN_LITERAL: &str = "-170141183460469231731687303715884105728";
+
+#[test]
+#[should_panic(expected = "Rat overflow")]
+fn from_int_min_is_overflow() {
+    // Its negation and `abs` would wrap back to `i128::MIN`.
+    let _ = Rat::from_int(i128::MIN);
+}
+
+#[test]
+fn negation_and_abs_at_the_range_ends() {
+    let lo = Rat::from_int(-i128::MAX);
+    assert_eq!(-lo, Rat::from_int(i128::MAX));
+    assert_eq!(lo.abs(), Rat::from_int(i128::MAX));
+}
+
+#[test]
+fn floor_ceil_at_the_range_ends() {
+    let x = Rat::new(-i128::MAX, 2);
+    assert_eq!(x.floor(), -(1 << 126));
+    assert_eq!(x.ceil(), 1 - (1 << 126));
+    assert_eq!((-x).floor(), (1 << 126) - 1);
+    assert_eq!((-x).ceil(), 1 << 126);
+}
+
+#[test]
+#[should_panic(expected = "Rat overflow")]
+fn new_with_min_denominator_is_overflow() {
+    // 3/-2¹²⁷ reduces to -3/2¹²⁷, whose denominator is out of range.
+    let _ = Rat::new(3, i128::MIN);
+}
+
+#[test]
+fn new_reduces_min_parts() {
+    assert_eq!(Rat::new(0, i128::MIN), Rat::ZERO);
+    assert_eq!(Rat::new(i128::MIN, i128::MIN), Rat::ONE);
+    assert_eq!(Rat::new(i128::MIN, 2), Rat::from_int(-(1 << 126)));
+    assert_eq!(Rat::new(i128::MIN, -4), Rat::from_int(1 << 125));
+}
+
+#[test]
+fn gcd_is_never_negative() {
+    assert_eq!(gcd_i128(0, i128::MIN), 1u128 << 127);
+    assert_eq!(gcd_i128(i128::MIN, i128::MIN), 1u128 << 127);
+    assert_eq!(gcd_i128(i128::MIN, 6), 2);
+    assert_eq!(gcd_i128(-(1 << 100), 1 << 64), 1u128 << 64);
+}
+
+#[test]
+fn recip_keeps_the_denominator_positive() {
+    let r = Rat::new(-1, i128::MAX);
+    assert_eq!(r.recip(), Rat::from_int(-i128::MAX));
+    assert_eq!(r.recip().denom(), 1);
+    let s = Rat::new(-7, 3);
+    assert_eq!(s.recip(), Rat::new(-3, 7));
+    assert!(s.recip().denom() > 0);
+}
+
+#[test]
+fn from_str_rejects_out_of_range_literals() {
+    assert!(MIN_LITERAL.parse::<Rat>().is_err());
+    assert!(format!("1/{}", &MIN_LITERAL).parse::<Rat>().is_err());
+    assert!(format!("{MIN_LITERAL}.5").parse::<Rat>().is_err());
+    // Values that reduce back into range still parse.
+    assert_eq!(
+        format!("{MIN_LITERAL}/2").parse::<Rat>().unwrap(),
+        Rat::from_int(-(1 << 126))
+    );
+    assert_eq!(
+        format!("{MIN_LITERAL}/{MIN_LITERAL}")
+            .parse::<Rat>()
+            .unwrap(),
+        Rat::ONE
+    );
+}
+
+#[test]
+fn results_at_min_are_overflow() {
+    let lo = Rat::from_int(-i128::MAX);
+    assert_eq!(lo.checked_add(-Rat::ONE), None);
+    assert_eq!(lo.try_sub(Rat::ONE), Err(NumError::Overflow));
+    let half = Rat::from_int(-(1 << 126));
+    assert_eq!(half.checked_mul(Rat::TWO), None);
+    assert_eq!(half.try_div(Rat::new(1, 2)), Err(NumError::Overflow));
+    // One step inside the range still succeeds.
+    assert_eq!(lo.checked_add(Rat::ONE), Some(Rat::from_int(1 - i128::MAX)));
+}
+
+#[test]
+#[should_panic(expected = "Rat overflow")]
+fn operator_reaching_min_panics() {
+    let _ = Rat::from_int(-i128::MAX) - Rat::ONE;
+}
+
+#[test]
+fn representation_is_two_i128_words() {
+    assert_eq!(std::mem::size_of::<Rat>(), 32);
 }

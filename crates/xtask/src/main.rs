@@ -25,7 +25,9 @@
 //! `dnc profile` smoke outputs), plus
 //! `cargo xtask validate-bench [--shape] <file>...` for the
 //! `dnc-bench/v1` perf trajectories that `dnc bench` appends (see
-//! DESIGN §15).
+//! DESIGN §15). `cargo xtask counters <file>` prints a metrics
+//! document's work counters as sorted JSON, one per line, so CI can diff
+//! them exactly against `results/profile-counters-t6.json`.
 
 mod deepcheck;
 mod index;
@@ -85,7 +87,7 @@ fn main() -> ExitCode {
     let (cmd, flags) = match args.split_first() {
         Some((c, rest)) => (c.as_str(), rest),
         None => {
-            eprintln!("usage: cargo xtask <audit [--json] | deepcheck [--json] | validate-metrics <file>... | validate-trace <file>... | validate-bench [--shape] <file>...>");
+            eprintln!("usage: cargo xtask <audit [--json] | deepcheck [--json] | validate-metrics <file>... | validate-trace <file>... | validate-bench [--shape] <file>... | counters <file>>");
             return ExitCode::FAILURE;
         }
     };
@@ -113,9 +115,10 @@ fn main() -> ExitCode {
                 validate_files(cmd, &paths, dnc_telemetry::schema::validate_bench)
             }
         }
+        "counters" => counters_cmd(flags),
         other => {
             eprintln!(
-                "xtask: unknown task `{other}` (tasks: audit, deepcheck, validate-metrics, validate-trace, validate-bench)"
+                "xtask: unknown task `{other}` (tasks: audit, deepcheck, validate-metrics, validate-trace, validate-bench, counters)"
             );
             ExitCode::FAILURE
         }
@@ -147,6 +150,49 @@ fn shape_files(paths: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+/// `counters <file>`: print the document's counter map.
+fn counters_cmd(paths: &[String]) -> ExitCode {
+    let [path] = paths else {
+        eprintln!("usage: cargo xtask counters <metrics.json>");
+        return ExitCode::FAILURE;
+    };
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("{path}: cannot read: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match counters_json(&text) {
+        Ok(out) => {
+            print!("{out}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{path}: INVALID: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The `counters` object of a `dnc-metrics/v1` document as JSON with one
+/// `"name": value` entry per line, in name order.
+fn counters_json(text: &str) -> Result<String, String> {
+    let doc = dnc_telemetry::json::parse(text).map_err(|e| format!("{e:?}"))?;
+    let counters = doc
+        .get("counters")
+        .and_then(|c| c.as_object())
+        .ok_or("no `counters` object")?;
+    let mut lines = Vec::with_capacity(counters.len());
+    for (name, value) in counters {
+        let n = value
+            .as_number()
+            .ok_or_else(|| format!("counter `{name}` is not a number"))?;
+        lines.push(format!("  \"{name}\": {n}"));
+    }
+    Ok(format!("{{\n{}\n}}\n", lines.join(",\n")))
 }
 
 /// Run a schema validator over each listed file; report per-file results
@@ -348,4 +394,19 @@ fn workspace_root() -> PathBuf {
         }
     }
     std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::counters_json;
+
+    #[test]
+    fn counters_print_sorted_one_per_line() {
+        let doc = r#"{"schema": "dnc-metrics/v1", "counters": {"b/x": 3, "a/y": 10}}"#;
+        assert_eq!(
+            counters_json(doc).unwrap(),
+            "{\n  \"a/y\": 10,\n  \"b/x\": 3\n}\n"
+        );
+        assert!(counters_json(r#"{"spans": {}}"#).is_err());
+    }
 }
