@@ -23,7 +23,6 @@ fn bench_pairing_strategy(c: &mut Criterion) {
             let alg = Integrated {
                 cap: OutputCap::Shift,
                 strategy,
-                ..Integrated::default()
             };
             b.iter(|| criterion::black_box(alg.analyze(&t.net).unwrap().bound(t.conn0)))
         });

@@ -45,9 +45,6 @@ pub struct ChurnConfig {
     pub seed: u64,
     /// Random journal-truncation offsets tried per sequence.
     pub kill_points: usize,
-    /// Analysis worker threads per certification (1 = sequential; the
-    /// report is bit-identical at any worker count).
-    pub workers: usize,
     /// Snapshot-and-rotate the journal every N committed ops. `None`
     /// (the default) keeps the full journal, which is what the raw
     /// truncation falsifier assumes; with a cadence set, the harness
@@ -63,7 +60,6 @@ impl Default for ChurnConfig {
             ops: 40,
             seed: 1,
             kill_points: 8,
-            workers: 1,
             snapshot_every: None,
         }
     }
@@ -305,7 +301,6 @@ pub fn run_sequence(seq: usize, cfg: &ChurnConfig, dir: &Path) -> SequenceOutcom
     let mut cert_checks = 0;
     let mut next_name = 0usize;
     let engine_cfg = || EngineConfig {
-        workers: cfg.workers.max(1),
         snapshot_every: cfg.snapshot_every,
         ..EngineConfig::default()
     };
@@ -548,16 +543,11 @@ pub fn render_report(report: &ChurnReport) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "churn: {} sequences x {} ops, seed {}, {} kill points each{}{}",
+        "churn: {} sequences x {} ops, seed {}, {} kill points each{}",
         report.cfg.seqs,
         report.cfg.ops,
         report.cfg.seed,
         report.cfg.kill_points,
-        if report.cfg.workers > 1 {
-            format!(", {} workers", report.cfg.workers)
-        } else {
-            String::new()
-        },
         match report.cfg.snapshot_every {
             Some(every) => format!(", snapshot every {every}"),
             None => String::new(),
@@ -634,7 +624,6 @@ mod tests {
             ops: 16,
             seed: 7,
             kill_points: 4,
-            workers: 1,
             snapshot_every: None,
         }
     }
@@ -672,7 +661,6 @@ mod tests {
             ops: 8,
             seed: 3,
             kill_points: 2,
-            workers: 1,
             snapshot_every: None,
         });
         crate::validated_json(churn_series(&report));

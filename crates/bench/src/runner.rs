@@ -99,7 +99,6 @@ fn throughput_config(opts: &BenchOptions) -> throughput::ThroughputConfig {
             n: 6,
             ops: 16,
             seed: opts.seed,
-            workers: 2,
             ..throughput::ThroughputConfig::default()
         }
     } else {
@@ -159,7 +158,6 @@ fn churn_config(opts: &BenchOptions) -> churn::ChurnConfig {
             ops: 12,
             seed: opts.seed,
             kill_points: 2,
-            workers: 1,
             snapshot_every: None,
         }
     } else {
@@ -271,7 +269,6 @@ pub fn run_bench(opts: &BenchOptions) -> std::io::Result<BenchSummary> {
     for (k, v) in [
         ("throughput.n", tcfg.n.to_string()),
         ("throughput.ops", tcfg.ops.to_string()),
-        ("throughput.workers", tcfg.workers.to_string()),
         ("profile.n", pcfg.n.to_string()),
         ("profile.repeats", pcfg.repeats.to_string()),
         ("socket.clients", scfg.clients.to_string()),

@@ -1,19 +1,16 @@
 //! Throughput harness: certification work and admissions/sec of the
-//! churn engine across three certification modes over one deterministic
+//! churn engine across two certification modes over one deterministic
 //! request sequence.
 //!
 //! The modes differ **only** in how the engine certifies — never in what
 //! it answers:
 //!
-//! * `scratch-seq` — every certification from scratch, sequential: the
-//!   baseline.
-//! * `parallel` — from scratch, pairing groups fanned out over
-//!   `workers` scoped threads.
-//! * `incremental` — parallel fan-out plus incremental
-//!   re-certification off the previous accepted analysis.
+//! * `scratch-seq` — every certification from scratch: the baseline.
+//! * `incremental` — re-certification off the previous accepted
+//!   analysis, recomputing only the pairing groups a mutation reaches.
 //!
-//! All three share the process-wide memo tables, so the work measure is
-//! not wall time but [`ModeOutcome::units`]: the pairing units the
+//! Both share the process-wide memo tables, so the work measure is not
+//! wall time but [`ModeOutcome::units`]: the pairing units the
 //! Integrated certifications computed, whatever ran before.
 //!
 //! Every mode replays the *same* pre-drawn request list against the
@@ -42,8 +39,6 @@ pub struct ThroughputConfig {
     pub ops: usize,
     /// Master seed: the request list is a pure function of it.
     pub seed: u64,
-    /// Fan-out width for the `parallel` and `incremental` modes.
-    pub workers: usize,
 }
 
 impl Default for ThroughputConfig {
@@ -53,7 +48,6 @@ impl Default for ThroughputConfig {
             u: Rat::new(6, 20),
             ops: 48,
             seed: 1,
-            workers: 4,
         }
     }
 }
@@ -61,7 +55,7 @@ impl Default for ThroughputConfig {
 /// One certification mode's measurement.
 #[derive(Clone, Debug)]
 pub struct ModeOutcome {
-    /// Mode label (`scratch-seq`, `parallel`, `incremental`).
+    /// Mode label (`scratch-seq`, `incremental`).
     pub label: &'static str,
     /// Committed operations (admits + releases).
     pub commits: u64,
@@ -217,23 +211,14 @@ fn run_mode(
     )
 }
 
-/// Run the three modes over one request list and cross-check them.
+/// Run both modes over one request list and cross-check them.
 pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
     let _span = dnc_telemetry::span("throughput.run");
     let reqs = draw_requests(cfg);
-    let plan: [(&'static str, EngineConfig); 3] = [
+    let plan: [(&'static str, EngineConfig); 2] = [
         (
             "scratch-seq",
             EngineConfig {
-                workers: 1,
-                incremental: false,
-                ..EngineConfig::default()
-            },
-        ),
-        (
-            "parallel",
-            EngineConfig {
-                workers: cfg.workers,
                 incremental: false,
                 ..EngineConfig::default()
             },
@@ -241,7 +226,6 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
         (
             "incremental",
             EngineConfig {
-                workers: cfg.workers,
                 incremental: true,
                 ..EngineConfig::default()
             },
@@ -319,7 +303,7 @@ pub fn throughput_series(report: &ThroughputReport) -> Vec<dnc_telemetry::export
     vec![s]
 }
 
-/// `dnc throughput`: run all three modes. Unsound on any cross-mode
+/// `dnc throughput`: run both modes. Unsound on any cross-mode
 /// mismatch, or — with `check` — unless the incremental mode computed
 /// strictly fewer pairing units than from-scratch sequential. Wall times
 /// are reported, never checked.
@@ -342,12 +326,11 @@ pub fn render_report(report: &ThroughputReport) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "throughput: tandem n={} U={:.2}, {} ops, seed {}, {} workers",
+        "throughput: tandem n={} U={:.2}, {} ops, seed {}",
         report.cfg.n,
         report.cfg.u.to_f64(),
         report.cfg.ops,
-        report.cfg.seed,
-        report.cfg.workers
+        report.cfg.seed
     );
     let _ = writeln!(
         s,
@@ -390,7 +373,6 @@ mod tests {
             n: 3,
             ops: 14,
             seed: 5,
-            workers: 2,
             ..ThroughputConfig::default()
         }
     }
@@ -399,29 +381,20 @@ mod tests {
     fn all_modes_agree_and_commit() {
         let report = run_throughput(&small());
         assert!(report.sound(), "{}", render_report(&report));
-        assert_eq!(report.modes.len(), 3);
+        assert_eq!(report.modes.len(), 2);
         for m in &report.modes {
             assert!(m.commits > 0, "{} committed nothing", m.label);
         }
         let units = |label| report.mode(label).map(|m| m.units).unwrap_or(0);
         assert!(units("scratch-seq") > 0);
-        assert_eq!(
-            units("parallel"),
-            units("scratch-seq"),
-            "both from-scratch modes compute every unit"
-        );
         assert!(
             report.incremental_saves_work(),
             "incremental computed {} units, scratch-seq {}",
             units("incremental"),
             units("scratch-seq")
         );
-        let (a, b, c) = (
-            report.modes[0].commits,
-            report.modes[1].commits,
-            report.modes[2].commits,
-        );
-        assert!(a == b && b == c, "commit counts diverge: {a} {b} {c}");
+        let (a, b) = (report.modes[0].commits, report.modes[1].commits);
+        assert_eq!(a, b, "commit counts diverge");
     }
 
     #[test]
@@ -441,7 +414,6 @@ mod tests {
             n: 2,
             ops: 8,
             seed: 3,
-            workers: 2,
             ..ThroughputConfig::default()
         });
         crate::validated_json(throughput_series(&report));

@@ -171,8 +171,6 @@ struct Command {
 #[rustfmt::skip]
 const SEED: Flag = flag("--seed", Int(0), "1", "master seed");
 #[rustfmt::skip]
-const WORKERS: Flag = flag("--workers", Int(1), "1", "analysis threads per certification (identical output)");
-#[rustfmt::skip]
 const METRICS: Flag = flag("--metrics", Text("PATH"), "", "write a dnc-metrics/v1 JSON document");
 #[rustfmt::skip]
 const TRACE: Flag = flag("--trace", Text("PATH"), "", "write Chrome trace_event JSON");
@@ -188,7 +186,7 @@ static COMMANDS: &[Command] = &[
             flag("--algo", Text("NAME"), "all",
                 "integrated, decomposed, service-curve, fifo-family, time-stopping,\nresilient or all"),
             flag("--csv", Text("PATH"), "", "write the bounds as CSV"),
-            METRICS, TRACE, WORKERS],
+            METRICS, TRACE],
         about: "end-to-end delay bounds; `resilient` runs the guarded Integrated ->\n\
                 Decomposed -> Unbounded fallback chain (exit 3: no valid bound within\n\
                 budget)" },
@@ -209,7 +207,7 @@ static COMMANDS: &[Command] = &[
             flag("--script", Text("PATH"), "", "scripted mode: the request file"),
             flag("--journal", Text("PATH"), "", "write-ahead journal, recovered first if it exists"),
             flag("--queue", Int(0), "64", "pending-request bound"),
-            WORKERS,
+            flag("--workers", Int(1), "1", "only 1: certification is sequential"),
             flag("--snapshot-every", Int(1), "", "compact the journal every N commits (needs --journal)"),
             flag("--listen", Text("ADDR"), "", "socket mode: the address to serve on"),
             flag("--max-conns", Int(1), "64", "socket mode: concurrent connection cap"),
@@ -260,7 +258,7 @@ static COMMANDS: &[Command] = &[
             flag("--kill-points", Int(0), "8", "journal truncation points per sequence"),
             flag("--snapshot-every", Int(1), "", "compact the journal; check tail-only recovery"),
             flag("--seq", Int(0), "", "replay this sequence alone, bit-exact"),
-            WORKERS, OUT_DIR],
+            OUT_DIR],
         about: "online-admission soundness sweep: every commit is independently\n\
                 re-certified and every journal crash-recovered from random truncation\n\
                 points (exit 1: either falsifier fired)" },
@@ -292,11 +290,10 @@ static COMMANDS: &[Command] = &[
             flag("--n", Int(2), "10", "tandem size"),
             flag("--ops", Int(0), "48", "requests"),
             SEED,
-            flag("--workers", Int(1), "4", "parallel-mode threads"),
             flag("--check", Switch, "", "require incremental to reach sequential admissions/sec"),
             OUT_DIR],
-        about: "admissions/sec of from-scratch sequential, parallel and incremental\n\
-                certification (exit 1: a cross-mode mismatch or a failed --check)" },
+        about: "admissions/sec of from-scratch and incremental certification (exit 1: a\n\
+                cross-mode mismatch or a failed --check)" },
     Command { name: "bench", synopsis: "", run: Run::Report(bench), flags: &[
             flag("--quick", Switch, "", "CI-sized harness configs"),
             SEED,
@@ -504,7 +501,6 @@ fn churn_config(a: &Args) -> churn::ChurnConfig {
         ops: a.val("--ops"),
         seed: a.val("--seed"),
         kill_points: a.val("--kill-points"),
-        workers: a.val("--workers"),
         snapshot_every: a.get("--snapshot-every"),
     }
 }
@@ -533,7 +529,6 @@ fn throughput_config(a: &Args) -> throughput::ThroughputConfig {
         n: a.val("--n"),
         ops: a.val("--ops"),
         seed: a.val("--seed"),
-        workers: a.val("--workers"),
         ..throughput::ThroughputConfig::default()
     }
 }
@@ -574,6 +569,11 @@ fn bench(a: &Args) -> Result<String, CliError> {
 
 fn serve(a: &Args) -> Result<String, CliError> {
     let path = a.pos(0);
+    if a.val::<usize>("--workers") != 1 {
+        return Err(CliError::new(
+            "--workers accepts only 1: certification is sequential",
+        ));
+    }
     let (journal, snapshot_every) = (a.get("--journal"), a.get("--snapshot-every"));
     if snapshot_every.is_some() && journal.is_none() {
         return Err(CliError::new("--snapshot-every needs --journal <wal>"));
@@ -602,7 +602,6 @@ fn serve(a: &Args) -> Result<String, CliError> {
             script,
             journal,
             queue: a.val("--queue"),
-            workers: a.val("--workers"),
             listen,
             max_conns: a.val("--max-conns"),
             batch: a.val("--batch"),
@@ -621,10 +620,10 @@ fn tandem(a: &Args) -> Result<String, CliError> {
     tandem_file(n, u)
 }
 
-fn algorithms(which: &str, workers: usize) -> Result<Vec<Box<dyn DelayAnalysis>>, CliError> {
+fn algorithms(which: &str) -> Result<Vec<Box<dyn DelayAnalysis>>, CliError> {
     let one = |name: &str| -> Option<Box<dyn DelayAnalysis>> {
         match name {
-            "integrated" => Some(Box::new(Integrated::paper().with_workers(workers))),
+            "integrated" => Some(Box::new(Integrated::paper())),
             "decomposed" => Some(Box::new(Decomposed::paper())),
             "service-curve" => Some(Box::new(ServiceCurve::paper())),
             "fifo-family" => Some(Box::new(FifoFamily::default())),
@@ -793,7 +792,7 @@ fn profile(a: &Args) -> Result<String, CliError> {
             }
         });
     } else {
-        for alg in algorithms("all", 1)? {
+        for alg in algorithms("all")? {
             run_one(alg.name(), &|net| {
                 alg.analyze(net)
                     .map(|r| (r, String::new()))
@@ -971,7 +970,7 @@ fn format_report(out: &mut String, report: &AnalysisReport, deadlines: &[Option<
 fn analyze(a: &Args) -> Result<String, CliError> {
     let (which, csv): (String, Option<String>) = (a.val("--algo"), a.get("--csv"));
     let (path, which, csv) = (a.pos(0), which.as_str(), csv.as_deref());
-    let (sinks, workers) = (ExportSinks::new(a), a.val("--workers"));
+    let sinks = ExportSinks::new(a);
     let (built, _) = load(path)?;
     if sinks.any() {
         dnc_telemetry::reset();
@@ -1014,11 +1013,7 @@ fn analyze(a: &Args) -> Result<String, CliError> {
         };
     let cyclic = built.net.topological_order().is_err();
     if which == "resilient" || which == "time-stopping" || (cyclic && which == "all") {
-        let runner = ResilientRunner {
-            workers,
-            ..ResilientRunner::default()
-        };
-        let r = runner.analyze(&built.net);
+        let r = ResilientRunner::default().analyze(&built.net);
         match r.bounds() {
             Some(report) => {
                 let _ = writeln!(
@@ -1045,7 +1040,7 @@ fn analyze(a: &Args) -> Result<String, CliError> {
             "network is cyclic: only `--algo time-stopping` (or `resilient`) applies",
         ));
     }
-    for alg in algorithms(which, workers)? {
+    for alg in algorithms(which)? {
         match alg.analyze(&built.net) {
             Ok(report) => {
                 format_report(&mut out, &report, &built.deadlines);
@@ -1396,6 +1391,17 @@ admit c route L0 L1 bucket 1 1/8 deadline 90
         );
         assert!(out.contains("ADMIT   b: certified"), "{out}");
         assert!(out.contains("2 shed(s)"), "{out}");
+    }
+
+    #[test]
+    fn serve_workers_accepts_only_one() {
+        let script = "admit a route L0 L1 bucket 1 1/8 deadline 40\n";
+        let err = serve_script(script, "--workers 2").unwrap_err();
+        assert_eq!(err.code, EXIT_USAGE);
+        assert!(err.message.contains("sequential"), "{}", err.message);
+        let out = serve_script(script, "--workers 1").unwrap();
+        assert_eq!(out, serve_script(script, "").unwrap());
+        assert!(out.contains("ADMIT   a: certified"), "{out}");
     }
 
     #[test]

@@ -53,8 +53,6 @@ pub struct ServeOptions {
     pub journal: Option<String>,
     /// Bound on the pending-request queue.
     pub queue: usize,
-    /// Analysis worker threads per certification (1 = sequential).
-    pub workers: usize,
     /// Socket mode: address to listen on (e.g. `127.0.0.1:7000`).
     pub listen: Option<String>,
     /// Socket mode: concurrent connection cap.
@@ -210,7 +208,6 @@ fn open_engine(
     };
     let config = EngineConfig {
         queue_capacity: opts.queue,
-        workers: opts.workers.max(1),
         snapshot_every: opts.snapshot_every,
         ..EngineConfig::default()
     };

@@ -64,5 +64,5 @@ harness_tests! {
     churn_with_snapshots: "churn --seqs 1 --ops 8 --snapshot-every 2" => ["metrics-churn.json"];
     torture: "torture --scenarios 1 --ops 6 --stride 3" => ["metrics-torture.json"];
     socket: "socket --clients 2 --ops 4 --batch 4" => ["metrics-socket.json"];
-    throughput: "throughput --n 4 --ops 8 --workers 2" => ["metrics-throughput.json"];
+    throughput: "throughput --n 4 --ops 8" => ["metrics-throughput.json"];
 }

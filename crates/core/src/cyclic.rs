@@ -22,18 +22,15 @@
 //! bound (the method's stability region is exceeded; reported as
 //! non-convergence, *not* as a valid bound).
 
+use crate::decomposed::local_delays;
 use crate::fifo::cap_word;
-use crate::propagate::Propagation;
-use crate::{fifo, sp, AnalysisError, AnalysisReport, FlowReport, OutputCap};
+use crate::{fifo, AnalysisError, AnalysisReport, FlowReport, OutputCap};
 use dnc_curves::cache::{CacheKey, CurveCache};
 use dnc_curves::intern::{self, CurveId};
 use dnc_curves::{Curve, CurveError};
 use dnc_net::{Discipline, FlowId, Network, ServerId};
 use dnc_num::Rat;
 use std::sync::LazyLock;
-
-/// One server's recomputed `(flow, hop index, local delay)` triples.
-type ServerUpdates = Vec<(FlowId, usize, Rat)>;
 
 /// Memo for the time-stopping entry envelopes, keyed by (source curve,
 /// delay prefix, rate prefix, output cap, hop). The prefix repeats
@@ -98,11 +95,6 @@ pub struct TimeStopping {
     /// making the fixed point a lattice point the iteration can actually
     /// reach.
     pub grid_denominator: i128,
-    /// Scoped worker threads fanning the per-server loop of each pass out
-    /// (`1` = fully sequential). Each server's update reads only the
-    /// previous iterate, so the merge is order-independent and reports
-    /// are **bit-identical** for every value (DESIGN.md §13).
-    pub workers: usize,
 }
 
 impl Default for TimeStopping {
@@ -111,17 +103,11 @@ impl Default for TimeStopping {
             cap: OutputCap::Shift,
             max_iters: 64,
             grid_denominator: 4096,
-            workers: 1,
         }
     }
 }
 
 impl TimeStopping {
-    /// Same analysis fanned out over `workers` scoped threads.
-    pub fn with_workers(mut self, workers: usize) -> TimeStopping {
-        self.workers = workers;
-        self
-    }
     /// Run the fixed-point iteration.
     ///
     /// Unlike the feedforward algorithms this does **not** require a
@@ -232,10 +218,8 @@ impl TimeStopping {
     /// One application of the monotone operator: given per-hop delay
     /// estimates, recompute every local delay from the induced
     /// characterizations. Each server's update reads only the previous
-    /// iterate, so servers may compute concurrently
-    /// ([`TimeStopping::workers`]) and the ordered merge writes each
-    /// `(flow, hop)` slot exactly once — results are bit-identical for
-    /// any worker count.
+    /// iterate and writes its own `(flow, hop)` slots; the pass stops at
+    /// the first server that fails.
     fn one_pass(&self, net: &Network, delays: &[Vec<Rat>]) -> Result<Vec<Vec<Rat>>, AnalysisError> {
         // Characterize flow `i` at hop `h` by shifting its source curve
         // through the *current* upstream delay estimates (memoized, see
@@ -264,96 +248,39 @@ impl TimeStopping {
             c
         };
 
-        // Pure per-server update: (flow, hop, new delay) triples.
-        let compute_server = |s: usize| -> Result<Vec<(FlowId, usize, Rat)>, AnalysisError> {
+        let mut out: Vec<Vec<Rat>> = delays.to_vec();
+        for (s, srv) in net.servers().iter().enumerate() {
             let server = ServerId(s);
-            let incident = net.flows_through(server);
-            if incident.is_empty() {
-                return Ok(Vec::new());
-            }
-            let srv = net.server(server);
-            let curves: Vec<(FlowId, Curve)> = incident
-                .iter()
-                .map(|&f| {
+            let curves: Vec<(FlowId, Curve)> = net
+                .flows_through(server)
+                .into_iter()
+                .map(|f| {
                     let h = net.hop_index(f, server).expect("incident"); // audit: allow(expect, f is drawn from the flows incident to server, so hop_index is Some)
                     (f, curve_at(f.0, h))
                 })
                 .collect();
-            let per_flow: Vec<(FlowId, Rat)> = match srv.discipline {
-                Discipline::Fifo => {
-                    let g = fifo::aggregate_curve(curves.iter().map(|(_, c)| c));
-                    let d = match fifo::local_delay(&g, srv.rate, server) {
-                        Ok(d) => d,
-                        Err(AnalysisError::Curve {
-                            source: CurveError::Unstable { .. },
-                            ..
-                        }) => {
-                            // Burst grew past the stability region: make
-                            // the non-convergence explicit by keeping the
-                            // iteration growing.
-                            return Err(AnalysisError::Unsupported(
-                                "time-stopping diverged (local instability)".into(),
-                            ));
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    incident.iter().map(|&f| (f, d)).collect()
-                }
-                Discipline::StaticPriority => sp::local_delays(net, server, &curves)?,
-                Discipline::Gps => crate::gps::local_delays(net, server, &curves)?,
-                Discipline::Edf => crate::edf::local_delays(net, server, &curves)?,
-            };
-            Ok(per_flow
-                .into_iter()
-                .map(|(f, d)| {
-                    let h = net.hop_index(f, server).expect("incident"); // audit: allow(expect, f is drawn from the flows incident to server, so hop_index is Some)
-                    (f, h, d.ceil_to_denom(self.grid_denominator))
-                })
-                .collect())
-        };
-
-        let n = net.servers().len();
-        let updates: Vec<Result<ServerUpdates, AnalysisError>> = if self.workers > 1 && n > 1 {
-            crate::par::fan_out(n, self.workers, &compute_server)
-        } else {
-            // Sequential path short-circuits at the first error, like
-            // the historical per-server loop.
-            let mut v = Vec::with_capacity(n);
-            for s in 0..n {
-                let r = compute_server(s);
-                let failed = r.is_err();
-                v.push(r);
-                if failed {
-                    break;
-                }
+            if curves.is_empty() {
+                continue;
             }
-            v
-        };
-        let mut out: Vec<Vec<Rat>> = delays.to_vec();
-        for r in updates {
-            for (f, h, d) in r? {
-                out[f.0][h] = d; // audit: allow(index, delay tables are sized per flow and route length; i/k/h index the same network)
+            let per_flow = local_delays(net, server, &curves).map_err(|e| match e {
+                // A FIFO burst grew past the stability region: make the
+                // non-convergence explicit by keeping the iteration growing.
+                AnalysisError::Curve {
+                    source: CurveError::Unstable { .. },
+                    ..
+                } if srv.discipline == Discipline::Fifo => {
+                    AnalysisError::Unsupported("time-stopping diverged (local instability)".into())
+                }
+                e => e,
+            })?;
+            for (f, d) in per_flow {
+                let h = net.hop_index(f, server).expect("incident"); // audit: allow(expect, f is drawn from the flows incident to server, so hop_index is Some)
+                out[f.0][h] = d.ceil_to_denom(self.grid_denominator); // audit: allow(index, delay tables are sized per flow and route length; i/k/h index the same network)
             }
         }
         Ok(out)
     }
 }
-
-/// Convenience: run time-stopping and, when the network happens to be
-/// feedforward, cross-check against plain decomposition (they must
-/// agree at the fixed point).
-pub fn analyze_general(net: &Network, cap: OutputCap) -> Result<CyclicReport, AnalysisError> {
-    TimeStopping {
-        cap,
-        ..TimeStopping::default()
-    }
-    .analyze(net)
-}
-
-// Propagation is unused here (the iteration re-derives curves from
-// scratch each pass), but keep the import graph honest.
-#[allow(unused_imports)]
-use Propagation as _;
 
 #[cfg(test)]
 mod tests {
@@ -511,25 +438,6 @@ mod tests {
             TimeStopping::default().analyze(&net),
             Err(AnalysisError::Network(_))
         ));
-    }
-
-    #[test]
-    fn workers_yield_bit_identical_fixed_points() {
-        let net = ring(rat(1, 8), int(1));
-        let seq = TimeStopping::default().analyze(&net).unwrap();
-        for workers in [2usize, 8] {
-            let par = TimeStopping::default()
-                .with_workers(workers)
-                .analyze(&net)
-                .unwrap();
-            assert_eq!(par.converged, seq.converged);
-            assert_eq!(par.iterations, seq.iterations, "workers={workers}");
-            assert_eq!(
-                par.bounds().unwrap(),
-                seq.bounds().unwrap(),
-                "workers={workers} must match sequential exactly"
-            );
-        }
     }
 
     #[test]

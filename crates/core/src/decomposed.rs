@@ -9,12 +9,20 @@
 //! end-to-end bound is the sum of the local bounds along its route. The
 //! over-estimation the paper criticizes comes from assuming every packet
 //! hits the worst case at *every* hop.
+//!
+//! That walk is Algorithm Integrated's recipe over single servers instead
+//! of pairs, so [`Decomposed`] runs Integrated's analysis with
+//! [`PairingStrategy::Singletons`]. Its per-server step,
+//! `local_delays`, is the one local-delay dispatch every decomposition
+//! shares: Integrated's unpaired servers, [`backlog_bounds`] and
+//! time-stopping ([`crate::cyclic`]).
 
+use crate::integrated::Integrated;
 use crate::propagate::Propagation;
-use crate::{
-    edf, fifo, gps, sp, AnalysisError, AnalysisReport, DelayAnalysis, FlowReport, OutputCap,
-};
-use dnc_net::{Discipline, FlowId, Network};
+use crate::{edf, fifo, gps, sp, AnalysisError, AnalysisReport, DelayAnalysis, OutputCap};
+use dnc_curves::Curve;
+use dnc_net::pairing::PairingStrategy;
+use dnc_net::{Discipline, FlowId, Network, ServerId};
 use dnc_num::Rat;
 
 /// Algorithm Decomposed, parameterized by the output-propagation model.
@@ -40,70 +48,37 @@ impl DelayAnalysis for Decomposed {
 
     fn analyze(&self, net: &Network) -> Result<AnalysisReport, AnalysisError> {
         let _span = dnc_telemetry::span("algo.decomposed");
-        net.validate()?;
-        let order = net.topological_order()?;
-        let mut prop = Propagation::new(net, self.cap);
-        let mut stages: Vec<Vec<(String, Rat)>> = vec![Vec::new(); net.flows().len()];
-
-        for server in order {
-            let incident = net.flows_through(server);
-            if incident.is_empty() {
-                continue;
-            }
-            let srv = net.server(server);
-            // Per-flow local delay at this server.
-            let delays: Vec<(FlowId, Rat)> = match srv.discipline {
-                Discipline::Fifo => {
-                    let curves: Vec<_> = incident
-                        .iter()
-                        .map(|&f| prop.curve_at(f, server).clone())
-                        .collect();
-                    let g = fifo::aggregate_curve(curves.iter());
-                    let d = fifo::local_delay(&g, srv.rate, server)?;
-                    incident.iter().map(|&f| (f, d)).collect()
-                }
-                Discipline::StaticPriority => {
-                    let curves: Vec<_> = incident
-                        .iter()
-                        .map(|&f| (f, prop.curve_at(f, server).clone()))
-                        .collect();
-                    sp::local_delays(net, server, &curves)?
-                }
-                Discipline::Gps => {
-                    let curves: Vec<_> = incident
-                        .iter()
-                        .map(|&f| (f, prop.curve_at(f, server).clone()))
-                        .collect();
-                    gps::local_delays(net, server, &curves)?
-                }
-                Discipline::Edf => {
-                    let curves: Vec<_> = incident
-                        .iter()
-                        .map(|&f| (f, prop.curve_at(f, server).clone()))
-                        .collect();
-                    edf::local_delays(net, server, &curves)?
-                }
-            };
-            for (f, d) in delays {
-                stages[f.0].push((srv.name.clone(), d)); // audit: allow(index, tables sized to the flow/server count, indexed by FlowId/ServerId of the same network)
-                prop.advance(f, server, d);
-            }
-        }
-
+        let singletons = Integrated {
+            cap: self.cap,
+            strategy: PairingStrategy::Singletons,
+        };
+        let (report, _) = singletons.drive(net)?;
         Ok(AnalysisReport {
             algorithm: self.name(),
-            flows: net
-                .flows()
-                .iter()
-                .enumerate()
-                .map(|(i, f)| FlowReport {
-                    flow: FlowId(i),
-                    name: f.name.clone(),
-                    e2e: stages[i].iter().map(|(_, d)| *d).sum(), // audit: allow(index, tables sized to the flow/server count, indexed by FlowId/ServerId of the same network)
-                    stages: std::mem::take(&mut stages[i]), // audit: allow(index, tables sized to the flow/server count, indexed by FlowId/ServerId of the same network)
-                })
-                .collect(),
+            ..report
         })
+    }
+}
+
+/// Per-flow local delays at `server`, given every incident flow's
+/// constraint at the server's entrance (`curves`, nondecreasing arrival
+/// curves). A FIFO server gives every flow the local bound `h(G, λ_C)`
+/// of the aggregate `G`; static-priority, GPS and EDF servers run their
+/// own per-flow analyses.
+pub(crate) fn local_delays(
+    net: &Network,
+    server: ServerId,
+    curves: &[(FlowId, Curve)],
+) -> Result<Vec<(FlowId, Rat)>, AnalysisError> {
+    match net.server(server).discipline {
+        Discipline::Fifo => {
+            let g = fifo::aggregate_curve(curves.iter().map(|(_, c)| c));
+            let d = fifo::local_delay(&g, net.server(server).rate, server)?;
+            Ok(curves.iter().map(|(f, _)| (*f, d)).collect())
+        }
+        Discipline::StaticPriority => sp::local_delays(net, server, curves),
+        Discipline::Gps => gps::local_delays(net, server, curves),
+        Discipline::Edf => edf::local_delays(net, server, curves),
     }
 }
 
@@ -117,49 +92,19 @@ pub fn backlog_bounds(net: &Network, cap: OutputCap) -> Result<Vec<Rat>, Analysi
     let mut prop = Propagation::new(net, cap);
     let mut backlog = vec![Rat::ZERO; net.servers().len()];
     for server in order {
-        let incident = net.flows_through(server);
-        if incident.is_empty() {
+        let curves: Vec<(FlowId, Curve)> = net
+            .flows_through(server)
+            .into_iter()
+            .map(|f| (f, prop.curve_at(f, server).clone()))
+            .collect();
+        if curves.is_empty() {
             continue;
         }
-        let srv = net.server(server);
-        let curves: Vec<_> = incident
-            .iter()
-            .map(|&f| prop.curve_at(f, server).clone())
-            .collect();
-        let g = fifo::aggregate_curve(curves.iter());
-        backlog[server.0] = fifo::local_backlog(&g, srv.rate, server)?; // audit: allow(index, tables sized to the flow/server count, indexed by FlowId/ServerId of the same network)
-                                                                        // Propagation still needs delay bounds (discipline-aware).
-        let delays: Vec<(FlowId, Rat)> = match srv.discipline {
-            Discipline::Fifo => {
-                let d = fifo::local_delay(&g, srv.rate, server)?;
-                incident.iter().map(|&f| (f, d)).collect()
-            }
-            Discipline::StaticPriority => {
-                let with_ids: Vec<_> = incident
-                    .iter()
-                    .zip(curves.iter())
-                    .map(|(&f, c)| (f, c.clone()))
-                    .collect();
-                sp::local_delays(net, server, &with_ids)?
-            }
-            Discipline::Gps => {
-                let with_ids: Vec<_> = incident
-                    .iter()
-                    .zip(curves.iter())
-                    .map(|(&f, c)| (f, c.clone()))
-                    .collect();
-                gps::local_delays(net, server, &with_ids)?
-            }
-            Discipline::Edf => {
-                let with_ids: Vec<_> = incident
-                    .iter()
-                    .zip(curves.iter())
-                    .map(|(&f, c)| (f, c.clone()))
-                    .collect();
-                edf::local_delays(net, server, &with_ids)?
-            }
-        };
-        for (f, d) in delays {
+        let g = fifo::aggregate_curve(curves.iter().map(|(_, c)| c));
+        backlog[server.0] = fifo::local_backlog(&g, net.server(server).rate, server)?; // audit: allow(index, tables sized to the flow/server count, indexed by FlowId/ServerId of the same network)
+
+        // Propagation still needs delay bounds (discipline-aware).
+        for (f, d) in local_delays(net, server, &curves)? {
             prop.advance(f, server, d);
         }
     }

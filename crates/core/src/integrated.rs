@@ -47,12 +47,10 @@
 //! specialized by discipline) whose per-unit work is split into a pure
 //! *compute* step (reads the shared propagation state, returns
 //! [`StageEntry`] records) and a deterministic *apply* step (pushes
-//! stages and advances propagation in a fixed order). That split is what
-//! enables, without ever changing a bound (DESIGN.md §13):
+//! stages and advances propagation in a fixed order). One sequential
+//! loop walks the units in order; the split is what enables, without
+//! ever changing a bound (DESIGN.md §13):
 //!
-//! * **parallel fan-out** ([`Integrated::workers`]) — independent units
-//!   of the same dependency depth compute on scoped threads, results
-//!   merge in unit order, so reports are bit-identical to sequential;
 //! * **memoization** — the pair bound is a pure function of its
 //!   operand curves, so [`pair_delay_bound_curves`] keeps one global
 //!   memo table keyed structurally, and every run (one-shot
@@ -63,6 +61,7 @@
 //!   [`GroupTrace`] for units outside the mutated flow's downstream
 //!   closure, recompute only the dirty ones.
 
+use crate::decomposed::local_delays;
 use crate::fifo::cap_word;
 use crate::propagate::Propagation;
 use crate::{fifo, AnalysisError, AnalysisReport, DelayAnalysis, FlowReport, OutputCap};
@@ -71,7 +70,7 @@ use dnc_curves::{bounds, limits, Curve, CurveError};
 use dnc_net::pairing::{classify_pair_flows, partition, Group, PairingStrategy};
 use dnc_net::{Discipline, FlowId, Network, ServerId};
 use dnc_num::Rat;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::LazyLock;
 
 /// The three delay figures of one analyzed pair.
@@ -232,12 +231,10 @@ pub struct Integrated {
     /// Output re-characterization model (paper: [`OutputCap::Shift`]).
     pub cap: OutputCap,
     /// How servers are grouped into subnetworks (paper: pairs along the
-    /// chain; [`PairingStrategy::Singletons`] degenerates to Decomposed).
+    /// chain). [`PairingStrategy::Singletons`] is Algorithm Decomposed:
+    /// [`Decomposed`](crate::decomposed::Decomposed) runs as exactly this
+    /// configuration.
     pub strategy: PairingStrategy,
-    /// Scoped worker threads fanning independent pairing groups out
-    /// (`1` = fully sequential). Results are merged in a fixed order, so
-    /// reports are **bit-identical** for every value (DESIGN.md §13).
-    pub workers: usize,
 }
 
 impl Default for Integrated {
@@ -245,7 +242,6 @@ impl Default for Integrated {
         Integrated {
             cap: OutputCap::Shift,
             strategy: PairingStrategy::GreedyChain,
-            workers: 1,
         }
     }
 }
@@ -255,30 +251,23 @@ impl Integrated {
     pub fn paper() -> Integrated {
         Integrated::default()
     }
-
-    /// Same analysis fanned out over `workers` scoped threads.
-    pub fn with_workers(mut self, workers: usize) -> Integrated {
-        self.workers = workers;
-        self
-    }
 }
 
-/// One schedulable work item: a pairing group specialized by server
-/// discipline. A mixed-discipline [`Group::Pair`] expands into two
-/// sequential singles (correct, no joint gain), matching the historical
-/// fallback.
+/// One work item: a pairing group specialized by server discipline. A
+/// [`Group::Pair`] of two FIFO or two static-priority servers is analyzed
+/// jointly; any other pair expands into two sequential singles (correct,
+/// no joint gain), matching the historical fallback.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Unit {
     Single(ServerId),
-    FifoPair(ServerId, ServerId),
-    SpPair(ServerId, ServerId),
+    Pair(ServerId, ServerId),
 }
 
 impl Unit {
     fn servers(self) -> (ServerId, Option<ServerId>) {
         match self {
             Unit::Single(s) => (s, None),
-            Unit::FifoPair(a, b) | Unit::SpPair(a, b) => (a, Some(b)),
+            Unit::Pair(a, b) => (a, Some(b)),
         }
     }
 }
@@ -292,10 +281,11 @@ enum Advance {
 
 /// One (flow, stage) outcome of analyzing a unit — everything the apply
 /// step needs to update the report stages and the propagation tables.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The stage's label is its server's name (a pair's two names joined by
+/// `+`), taken from `advance` when the entry is applied.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct StageEntry {
     flow: FlowId,
-    label: String,
     delay: Rat,
     advance: Advance,
 }
@@ -348,8 +338,9 @@ pub struct IncrementalOutcome {
 /// `unit_of[server] → unit index` plus the forward dependency edges
 /// between units (deduplicated successors, from consecutive route hops).
 /// `None` when an edge points backwards — the partition guarantees a
-/// contracted-topological order so this cannot happen, but callers fall
-/// back to the sequential path instead of trusting it blindly.
+/// contracted-topological order so this cannot happen, but
+/// [`dirty_flags`] then declines the incremental splice instead of
+/// trusting it blindly.
 fn unit_graph(net: &Network, units: &[Unit]) -> Option<(Vec<usize>, Vec<BTreeSet<usize>>)> {
     let mut unit_of = vec![usize::MAX; net.servers().len()];
     for (i, u) in units.iter().enumerate() {
@@ -373,28 +364,6 @@ fn unit_graph(net: &Network, units: &[Unit]) -> Option<(Vec<usize>, Vec<BTreeSet
         }
     }
     Some((unit_of, succs))
-}
-
-/// Group unit indices into dependency waves: a unit's wave (depth) is one
-/// past the deepest unit feeding it, so units within a wave share no
-/// data dependency and may compute concurrently. Waves are emitted in
-/// depth order with ascending unit indices inside each wave.
-fn schedule_waves(net: &Network, units: &[Unit]) -> Option<Vec<Vec<usize>>> {
-    let (_, succs) = unit_graph(net, units)?;
-    let mut depth = vec![0usize; units.len()];
-    for u in 0..units.len() {
-        // audit: allow(index, u and v are unit indices below units.len())
-        for &v in &succs[u] {
-            // audit: allow(index, u and v are unit indices below units.len())
-            depth[v] = depth[v].max(depth[u] + 1);
-        }
-    }
-    let levels = depth.iter().max().map_or(0, |d| d + 1);
-    let mut waves: Vec<Vec<usize>> = vec![Vec::new(); levels];
-    for (u, &d) in depth.iter().enumerate() {
-        waves[d].push(u); // audit: allow(index, d < levels by construction)
-    }
-    Some(waves)
 }
 
 /// Mark every unit whose inputs the mutated flow can reach: seed with the
@@ -425,14 +394,29 @@ fn dirty_flags(net: &Network, units: &[Unit], seed: &[ServerId]) -> Option<Vec<b
 }
 
 /// Replay/record apply step: push report stages and advance propagation,
-/// in the entry order the compute step fixed.
-fn apply(prop: &mut Propagation<'_>, stages: &mut [Vec<(String, Rat)>], entries: &[StageEntry]) {
+/// in the entry order the compute step fixed. Every entry of one unit
+/// that advances over a pair names the unit's pair, so its label is
+/// formatted once.
+fn apply(
+    net: &Network,
+    prop: &mut Propagation<'_>,
+    stages: &mut [Vec<(String, Rat)>],
+    entries: &[StageEntry],
+) {
+    let mut pair_label = None;
     for e in entries {
-        stages[e.flow.0].push((e.label.clone(), e.delay)); // audit: allow(index, stages is sized to the flow count; entries only name flows of the same network)
-        match e.advance {
-            Advance::One(s) => prop.advance(e.flow, s, e.delay),
-            Advance::Pair(a, b) => prop.advance_pair(e.flow, a, b, e.delay),
-        }
+        let label = match e.advance {
+            Advance::One(s) => {
+                prop.advance(e.flow, s, e.delay);
+                net.server(s).name.clone()
+            }
+            Advance::Pair(a, b) => {
+                prop.advance_pair(e.flow, a, b, e.delay);
+                let (a, b) = (&net.server(a).name, &net.server(b).name);
+                pair_label.get_or_insert_with(|| format!("{a}+{b}")).clone()
+            }
+        };
+        stages[e.flow.0].push((label, e.delay)); // audit: allow(index, stages is sized to the flow count; entries only name flows of the same network)
     }
 }
 
@@ -454,6 +438,16 @@ impl Integrated {
         net: &Network,
     ) -> Result<(AnalysisReport, GroupTrace), AnalysisError> {
         let _span = dnc_telemetry::span("algo.integrated");
+        self.drive(net)
+    }
+
+    /// [`Integrated::analyze_traced`] without its span, so that
+    /// [`Decomposed`](crate::decomposed::Decomposed) runs the same
+    /// analysis under its own.
+    pub(crate) fn drive(
+        &self,
+        net: &Network,
+    ) -> Result<(AnalysisReport, GroupTrace), AnalysisError> {
         net.validate()?;
         let units = self.units_of(net)?;
         self.run(net, &units, None)
@@ -513,9 +507,9 @@ impl Integrated {
                 Group::Pair(a, b) => {
                     let (da, db) = (net.server(a).discipline, net.server(b).discipline);
                     match (da, db) {
-                        (Discipline::Fifo, Discipline::Fifo) => units.push(Unit::FifoPair(a, b)),
-                        (Discipline::StaticPriority, Discipline::StaticPriority) => {
-                            units.push(Unit::SpPair(a, b))
+                        (Discipline::Fifo, Discipline::Fifo)
+                        | (Discipline::StaticPriority, Discipline::StaticPriority) => {
+                            units.push(Unit::Pair(a, b))
                         }
                         // Mixed-discipline pairs fall back to sequential
                         // single-server analysis (still correct, no joint
@@ -531,9 +525,8 @@ impl Integrated {
         Ok(units)
     }
 
-    /// The analysis driver: compute every unit (sequentially in unit
-    /// order, or wave-parallel when `workers > 1`), apply entries in unit
-    /// order, assemble the report and the trace. `replay` carries the
+    /// The analysis loop: compute every unit in order, apply its
+    /// entries, assemble the report and the trace. `replay` carries the
     /// previous trace plus per-unit dirty flags for the incremental path;
     /// clean units replay their recorded entries instead of computing.
     fn run(
@@ -544,56 +537,16 @@ impl Integrated {
     ) -> Result<(AnalysisReport, GroupTrace), AnalysisError> {
         let mut prop = Propagation::new(net, self.cap);
         let mut stages: Vec<Vec<(String, Rat)>> = vec![Vec::new(); net.flows().len()];
-        let mut trace_entries: Vec<Vec<StageEntry>> = vec![Vec::new(); units.len()];
-
-        let compute =
-            |i: usize, prop: &Propagation<'_>| -> Result<Vec<StageEntry>, AnalysisError> {
-                if let Some((prev, dirty)) = replay {
-                    // audit: allow(index, dirty and entries are sized to units — checked by analyze_incremental)
-                    if !dirty[i] {
-                        // audit: allow(index, dirty and entries are sized to units — checked by analyze_incremental)
-                        return Ok(prev.entries[i].clone());
-                    }
-                }
-                // audit: allow(index, i is a unit index below units.len())
-                match units[i] {
-                    Unit::Single(s) => self.compute_single(net, s, prop),
-                    Unit::FifoPair(a, b) => self.compute_pair(net, a, b, prop),
-                    Unit::SpPair(a, b) => self.compute_pair_sp(net, a, b, prop),
-                }
+        let mut trace_entries: Vec<Vec<StageEntry>> = Vec::with_capacity(units.len());
+        for (i, &unit) in units.iter().enumerate() {
+            let entries = match (replay, unit) {
+                // audit: allow(index, dirty and entries are sized to units — checked by analyze_incremental)
+                (Some((prev, dirty)), _) if !dirty[i] => prev.entries[i].clone(),
+                (_, Unit::Single(s)) => self.compute_single(net, s, &prop)?,
+                (_, Unit::Pair(a, b)) => self.compute_pair(net, a, b, &prop)?,
             };
-
-        let waves = if self.workers > 1 {
-            schedule_waves(net, units)
-        } else {
-            None
-        };
-        match waves {
-            Some(waves) => {
-                for wave in &waves {
-                    // Spawning threads for a single-unit wave is pure
-                    // overhead (chain-shaped unit graphs are all such
-                    // waves) — fan out only when the wave has real width.
-                    let results = if wave.len() > 1 {
-                        let per_unit = |k: usize| compute(wave[k], &prop); // audit: allow(index, fan_out only calls k < wave.len())
-                        crate::par::fan_out(wave.len(), self.workers, &per_unit)
-                    } else {
-                        wave.iter().map(|&i| compute(i, &prop)).collect()
-                    };
-                    for (entries, &i) in results.into_iter().zip(wave.iter()) {
-                        let entries = entries?;
-                        apply(&mut prop, &mut stages, &entries);
-                        trace_entries[i] = entries; // audit: allow(index, i is a unit index below units.len())
-                    }
-                }
-            }
-            None => {
-                for (i, slot) in trace_entries.iter_mut().enumerate() {
-                    let entries = compute(i, &prop)?;
-                    apply(&mut prop, &mut stages, &entries);
-                    *slot = entries;
-                }
-            }
+            apply(net, &mut prop, &mut stages, &entries);
+            trace_entries.push(entries);
         }
 
         let report = AnalysisReport {
@@ -623,158 +576,34 @@ impl Integrated {
         server: ServerId,
         prop: &Propagation<'_>,
     ) -> Result<Vec<StageEntry>, AnalysisError> {
-        let incident = net.flows_through(server);
-        if incident.is_empty() {
+        let curves: Vec<(FlowId, Curve)> = net
+            .flows_through(server)
+            .into_iter()
+            .map(|f| (f, prop.curve_at(f, server).clone()))
+            .collect();
+        if curves.is_empty() {
             return Ok(Vec::new());
         }
-        let srv = net.server(server);
-        let delays: Vec<(FlowId, Rat)> = match srv.discipline {
-            Discipline::Fifo => {
-                let curves: Vec<_> = incident
-                    .iter()
-                    .map(|&f| prop.curve_at(f, server).clone())
-                    .collect();
-                let g = fifo::aggregate_curve(curves.iter());
-                let d = fifo::local_delay(&g, srv.rate, server)?;
-                incident.iter().map(|&f| (f, d)).collect()
-            }
-            Discipline::StaticPriority => {
-                let curves: Vec<_> = incident
-                    .iter()
-                    .map(|&f| (f, prop.curve_at(f, server).clone()))
-                    .collect();
-                crate::sp::local_delays(net, server, &curves)?
-            }
-            Discipline::Gps => {
-                let curves: Vec<_> = incident
-                    .iter()
-                    .map(|&f| (f, prop.curve_at(f, server).clone()))
-                    .collect();
-                crate::gps::local_delays(net, server, &curves)?
-            }
-            Discipline::Edf => {
-                let curves: Vec<_> = incident
-                    .iter()
-                    .map(|&f| (f, prop.curve_at(f, server).clone()))
-                    .collect();
-                crate::edf::local_delays(net, server, &curves)?
-            }
-        };
-        Ok(delays
+        Ok(local_delays(net, server, &curves)?
             .into_iter()
-            .map(|(f, d)| StageEntry {
-                flow: f,
-                label: srv.name.clone(),
-                delay: d,
+            .map(|(flow, delay)| StageEntry {
+                flow,
+                delay,
                 advance: Advance::One(server),
             })
             .collect())
     }
 
-    /// Joint analysis of a static-priority pair, level by level (lower
-    /// priority number = more urgent; levels are FIFO internally, which
-    /// is what [`pair_delay_bound_curves`] requires). Each level gets the
-    /// residual strict service curves `[C·t − α_higher(t)]⁺` at both
-    /// servers, with the higher-priority constraint at server 2 taken as
-    /// its server-1 constraint delayed by that level's own server-1
-    /// bound. Reads only entry curves seeded by upstream units, so it is
-    /// a pure compute step: the level recursion feeds on its own
-    /// aggregates, never on this unit's applied advances.
-    fn compute_pair_sp(
-        &self,
-        net: &Network,
-        a: ServerId,
-        b: ServerId,
-        prop: &Propagation<'_>,
-    ) -> Result<Vec<StageEntry>, AnalysisError> {
-        use std::collections::BTreeMap;
-        let (s12, s1, s2) = classify_pair_flows(net, a, b);
-        let c1 = net.server(a).rate;
-        let c2 = net.server(b).rate;
-        let label = format!("{}+{}", net.server(a).name, net.server(b).name);
-        let mut out = Vec::new();
-
-        // Group every involved flow by priority level.
-        let mut levels: BTreeMap<u8, (Vec<_>, Vec<_>, Vec<_>)> = BTreeMap::new();
-        for &f in &s12 {
-            levels.entry(net.flow(f).priority).or_default().0.push(f);
-        }
-        for &f in &s1 {
-            levels.entry(net.flow(f).priority).or_default().1.push(f);
-        }
-        for &f in &s2 {
-            levels.entry(net.flow(f).priority).or_default().2.push(f);
-        }
-
-        // Higher-priority interference accumulated while walking levels in
-        // urgency order.
-        let mut higher1: Vec<Curve> = Vec::new(); // at server 1 (S12 ∪ S1)
-        let mut higher2: Vec<Curve> = Vec::new(); // at server 2 (S12' ∪ S2)
-        for (_prio, (l12, l1, l2)) in levels {
-            let f12 = fifo::aggregate_curve(
-                l12.iter()
-                    .map(|&f| prop.curve_at(f, a).clone())
-                    .collect::<Vec<_>>()
-                    .iter(),
-            );
-            let f1 = fifo::aggregate_curve(
-                l1.iter()
-                    .map(|&f| prop.curve_at(f, a).clone())
-                    .collect::<Vec<_>>()
-                    .iter(),
-            );
-            let f2 = fifo::aggregate_curve(
-                l2.iter()
-                    .map(|&f| prop.curve_at(f, b).clone())
-                    .collect::<Vec<_>>()
-                    .iter(),
-            );
-            let residual = |rate: Rat, interference: &[Curve]| -> Curve {
-                if interference.is_empty() {
-                    Curve::rate(rate)
-                } else {
-                    Curve::rate(rate)
-                        .sub(&fifo::aggregate_curve(interference.iter()))
-                        .pos()
-                }
-            };
-            let beta1 = residual(c1, &higher1);
-            let beta2 = residual(c2, &higher2);
-            let pb = pair_delay_bound_curves(&f12, &f1, &f2, c1, &beta1, &beta2, self.cap)
-                .map_err(|e| AnalysisError::at(a, e))?;
-
-            for &f in &l12 {
-                out.push(StageEntry {
-                    flow: f,
-                    label: label.clone(),
-                    delay: pb.through,
-                    advance: Advance::Pair(a, b),
-                });
-            }
-            for &f in &l1 {
-                out.push(StageEntry {
-                    flow: f,
-                    label: net.server(a).name.clone(),
-                    delay: pb.d1,
-                    advance: Advance::One(a),
-                });
-            }
-            for &f in &l2 {
-                out.push(StageEntry {
-                    flow: f,
-                    label: net.server(b).name.clone(),
-                    delay: pb.d2,
-                    advance: Advance::One(b),
-                });
-            }
-
-            // This level now interferes with everything less urgent.
-            higher1.push(f12.add(&f1));
-            higher2.push(f2.add(&fifo::propagate_output(&f12, pb.d1, c1, self.cap)));
-        }
-        Ok(out)
-    }
-
+    /// Joint analysis of a FIFO or static-priority pair, level by level
+    /// (lower priority number = more urgent; levels are FIFO internally,
+    /// which is what [`pair_delay_bound_curves`] requires, and a FIFO
+    /// pair is a single level). Each level gets the residual strict
+    /// service curves `[C·t − α_higher(t)]⁺` at both servers — the full
+    /// rates `λ_C` for the most urgent level — with the higher-priority
+    /// constraint at server 2 taken as its server-1 constraint delayed by
+    /// that level's own server-1 bound. Reads only entry curves seeded by
+    /// upstream units, so it is a pure compute step: the level recursion
+    /// feeds on its own aggregates, never on this unit's applied advances.
     fn compute_pair(
         &self,
         net: &Network,
@@ -783,54 +612,75 @@ impl Integrated {
         prop: &Propagation<'_>,
     ) -> Result<Vec<StageEntry>, AnalysisError> {
         let (s12, s1, s2) = classify_pair_flows(net, a, b);
-        let f12 = fifo::aggregate_curve(
-            s12.iter()
-                .map(|&f| prop.curve_at(f, a).clone())
-                .collect::<Vec<_>>()
-                .iter(),
-        );
-        let f1 = fifo::aggregate_curve(
-            s1.iter()
-                .map(|&f| prop.curve_at(f, a).clone())
-                .collect::<Vec<_>>()
-                .iter(),
-        );
-        let f2 = fifo::aggregate_curve(
-            s2.iter()
-                .map(|&f| prop.curve_at(f, b).clone())
-                .collect::<Vec<_>>()
-                .iter(),
-        );
         let c1 = net.server(a).rate;
         let c2 = net.server(b).rate;
-        let pb = pair_delay_bound(&f12, &f1, &f2, c1, c2, self.cap)
-            .map_err(|e| AnalysisError::at(a, e))?;
-
-        let label = format!("{}+{}", net.server(a).name, net.server(b).name);
         let mut out = Vec::new();
+
+        // Group every involved flow by priority level.
+        let by_priority = net.server(a).discipline == Discipline::StaticPriority;
+        let level_of = |f: FlowId| if by_priority { net.flow(f).priority } else { 0 };
+        let mut levels: BTreeMap<u8, (Vec<_>, Vec<_>, Vec<_>)> = BTreeMap::new();
         for &f in &s12 {
-            out.push(StageEntry {
-                flow: f,
-                label: label.clone(),
-                delay: pb.through,
-                advance: Advance::Pair(a, b),
-            });
+            levels.entry(level_of(f)).or_default().0.push(f);
         }
         for &f in &s1 {
-            out.push(StageEntry {
-                flow: f,
-                label: net.server(a).name.clone(),
-                delay: pb.d1,
-                advance: Advance::One(a),
-            });
+            levels.entry(level_of(f)).or_default().1.push(f);
         }
         for &f in &s2 {
-            out.push(StageEntry {
-                flow: f,
-                label: net.server(b).name.clone(),
-                delay: pb.d2,
-                advance: Advance::One(b),
-            });
+            levels.entry(level_of(f)).or_default().2.push(f);
+        }
+        let aggregate = |flows: &[FlowId], at: ServerId| {
+            fifo::aggregate_curve(flows.iter().map(|&f| prop.curve_at(f, at)))
+        };
+        let residual = |rate: Rat, interference: &[Curve]| -> Curve {
+            if interference.is_empty() {
+                Curve::rate(rate)
+            } else {
+                Curve::rate(rate)
+                    .sub(&fifo::aggregate_curve(interference.iter()))
+                    .pos()
+            }
+        };
+
+        // Higher-priority interference accumulated while walking levels in
+        // urgency order.
+        let mut higher1: Vec<Curve> = Vec::new(); // at server 1 (S12 ∪ S1)
+        let mut higher2: Vec<Curve> = Vec::new(); // at server 2 (S12' ∪ S2)
+        let mut levels = levels.into_values().peekable();
+        while let Some((l12, l1, l2)) = levels.next() {
+            let (f12, f1, f2) = (aggregate(&l12, a), aggregate(&l1, a), aggregate(&l2, b));
+            let beta1 = residual(c1, &higher1);
+            let beta2 = residual(c2, &higher2);
+            let pb = pair_delay_bound_curves(&f12, &f1, &f2, c1, &beta1, &beta2, self.cap)
+                .map_err(|e| AnalysisError::at(a, e))?;
+
+            for &f in &l12 {
+                out.push(StageEntry {
+                    flow: f,
+                    delay: pb.through,
+                    advance: Advance::Pair(a, b),
+                });
+            }
+            for &f in &l1 {
+                out.push(StageEntry {
+                    flow: f,
+                    delay: pb.d1,
+                    advance: Advance::One(a),
+                });
+            }
+            for &f in &l2 {
+                out.push(StageEntry {
+                    flow: f,
+                    delay: pb.d2,
+                    advance: Advance::One(b),
+                });
+            }
+
+            // This level now interferes with everything less urgent.
+            if levels.peek().is_some() {
+                higher1.push(f12.add(&f1));
+                higher2.push(f2.add(&fifo::propagate_output(&f12, pb.d1, c1, self.cap)));
+            }
         }
         Ok(out)
     }
@@ -1034,33 +884,6 @@ mod tests {
         assert_eq!(r.bound(f12[0]), rat(83, 12));
         assert_eq!(r.bound(f1[0]), int(3));
         assert_eq!(r.bound(f2[0]), rat(23, 4));
-    }
-
-    #[test]
-    fn workers_yield_bit_identical_reports() {
-        use dnc_net::Discipline;
-        for discipline in [Discipline::Fifo, Discipline::StaticPriority] {
-            let t = builders::tandem(
-                6,
-                int(1),
-                rat(3, 32),
-                builders::TandemOptions {
-                    discipline,
-                    ..builders::TandemOptions::default()
-                },
-            );
-            let sequential = Integrated::paper().analyze(&t.net).unwrap();
-            for workers in [2usize, 8] {
-                let parallel = Integrated::paper()
-                    .with_workers(workers)
-                    .analyze(&t.net)
-                    .unwrap();
-                assert_eq!(
-                    sequential, parallel,
-                    "workers={workers} ({discipline:?}) must match sequential exactly"
-                );
-            }
-        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!
 //! * [`decomposed`] — **Algorithm Decomposed** (Cruz): per-server local
 //!   worst-case delays summed along each route, with per-connection output
-//!   characterization `b'(I) = b(I + d_local)` propagated hop by hop.
+//!   characterization `b'(I) = b(I + d_local)` propagated hop by hop. It
+//!   runs as Integrated over the singleton partition, so one sequential
+//!   analysis loop serves both.
 //! * [`service_curve`] — **Algorithm Service Curve** (induced variant): a
 //!   per-connection FIFO service curve `β(t) = [C·t − α_cross(t)]⁺` at each
 //!   server, min-plus convolved into a network service curve; the delay is
@@ -44,7 +46,6 @@
 
 mod error;
 mod fifo;
-mod par;
 mod propagate;
 mod report;
 
@@ -59,7 +60,6 @@ pub mod gps;
 pub mod guard;
 pub mod integrated;
 pub mod resilient;
-pub mod sensitivity;
 pub mod service_curve;
 pub mod sp;
 

@@ -174,9 +174,6 @@ pub struct ResilientRunner {
     /// Iteration budget for the time-stopping fixed point on cyclic
     /// networks (further clamped by the guard's `iter_cap`).
     pub max_iters: usize,
-    /// Scoped-thread fan-out width for the parallel analyses (1 =
-    /// sequential; results are bit-identical at any width).
-    pub workers: usize,
 }
 
 impl Default for ResilientRunner {
@@ -185,7 +182,6 @@ impl Default for ResilientRunner {
             guard: Guard::interactive(),
             cap: OutputCap::Shift,
             max_iters: TimeStopping::default().max_iters,
-            workers: 1,
         }
     }
 }
@@ -224,7 +220,7 @@ impl ResilientRunner {
         let armed = self.guard.arm();
         let feedforward = net.topological_order().is_ok();
         let mut attempts: Vec<Attempt> = Vec::new();
-        let integrated = Integrated::paper().with_workers(self.workers);
+        let integrated = Integrated::paper();
 
         // Tier 1a: incremental splice off the previous trace (only when
         // the caller supplied one and the network is still feedforward).
@@ -328,7 +324,6 @@ impl ResilientRunner {
             let ts = TimeStopping {
                 cap: self.cap,
                 max_iters: self.max_iters,
-                workers: self.workers,
                 ..TimeStopping::default()
             };
             (
@@ -594,10 +589,7 @@ mod tests {
     fn fast_path_incremental_answers_and_matches_full() {
         let t = builders::tandem(4, int(1), rat(3, 16), builders::TandemOptions::default());
         let mut net = t.net;
-        let runner = ResilientRunner {
-            workers: 2,
-            ..ResilientRunner::default()
-        };
+        let runner = ResilientRunner::default();
         let first = runner.analyze_fast(&net, None);
         assert_eq!(first.report.tier(), Tier::Integrated);
         let trace = first.trace.expect("integrated answer carries a trace");

@@ -28,7 +28,7 @@
 //! or force generation counters onto the hot path (DESIGN §18).
 //!
 //! Feature compatibility: the store is plain `RwLock` + `HashMap` state
-//! with no thread-locals, safe under the parallel analysis fan-out;
+//! with no thread-locals, so threads running independent analyses share it;
 //! `telemetry` counters (`intern.hit` / `intern.miss`) are no-ops when
 //! the feature is off, and `debug-invariants` sees every stored curve
 //! because only canonical [`Curve`] values (already checked by their

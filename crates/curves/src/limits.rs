@@ -145,18 +145,6 @@ pub fn active() -> bool {
     ACTIVE.with(|a| !a.borrow().is_empty())
 }
 
-/// A snapshot of the innermost [`Limits`] installed on this thread, or
-/// `None` when the stack is empty. Worker threads spawned by a guarded
-/// parallel analysis [`install`] this snapshot so they honor the same
-/// deadline and cancellation token as the coordinating thread. The
-/// operation counter is per-installation, so `k` workers share the
-/// wall-clock deadline and cancel flag exactly but may together perform
-/// up to `k` times the op cap — the cap bounds per-thread work, which is
-/// what keeps any single thread from running away.
-pub fn current() -> Option<Limits> {
-    ACTIVE.with(|a| a.borrow().last().map(|top| top.limits.clone()))
-}
-
 /// Budget checkpoint, called by the instrumented operations with the
 /// segment count they are about to touch. No-op when no limits are
 /// installed.

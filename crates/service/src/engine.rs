@@ -45,8 +45,8 @@ pub struct EngineConfig {
     pub guard: Guard,
     /// Bound on the pending-request queue (see [`ShedQueue`]).
     pub queue_capacity: usize,
-    /// Scoped-thread fan-out width for each certification run (1 =
-    /// sequential; bounds are bit-identical at any width).
+    /// Ignored: certification is sequential. Kept only so that callers
+    /// which still set it build.
     pub workers: usize,
     /// Re-certify incrementally off the previous accepted analysis
     /// (splicing its bounds for unaffected pairing groups). `false` runs
@@ -286,10 +286,7 @@ impl ChurnEngine {
             last_snapshot_seq: 0,
             gen: 0,
             snapshot_every: config.snapshot_every,
-            runner: ResilientRunner {
-                workers: config.workers.max(1),
-                ..ResilientRunner::new(config.guard.clone())
-            },
+            runner: ResilientRunner::new(config.guard.clone()),
             queue: ShedQueue::with_seed(config.queue_capacity, config.shed_seed),
             stats: EngineStats::default(),
             trace: None,

@@ -1,9 +1,9 @@
 //! Property test: the engine's incremental fast path is observationally
 //! indistinguishable from honest from-scratch certification. Two engines
-//! — one with `incremental: true` and parallel workers, one with
-//! `incremental: false` and a single thread — process the same
-//! randomized admit/release sequence and must return identical answers
-//! (exact `Rat` bounds included) and land on identical canonical state.
+//! — one with `incremental: true`, one with `incremental: false` —
+//! process the same randomized admit/release sequence and must return
+//! identical answers (exact `Rat` bounds included) and land on
+//! identical canonical state.
 
 use dnc_net::builders::{tandem, TandemOptions};
 use dnc_net::ServerId;
@@ -62,20 +62,19 @@ proptest! {
     fn incremental_engine_is_indistinguishable(seed in 0u64..1 << 32) {
         let n = 4;
         let base = tandem(n, Rat::ONE, Rat::new(1, 16), TandemOptions::default()).net;
-        let mk = |workers: usize, incremental: bool| {
+        let mk = |incremental: bool| {
             ChurnEngine::new(
                 base.clone(),
                 Vec::new(),
                 EngineConfig {
-                    workers,
                     incremental,
                     ..EngineConfig::default()
                 },
             )
             .expect("base tandem certifies")
         };
-        let mut fast = mk(2, true);
-        let mut scratch = mk(1, false);
+        let mut fast = mk(true);
+        let mut scratch = mk(false);
 
         for (step, req) in draw_requests(seed, n, 24).into_iter().enumerate() {
             let a = fast.process(req.clone()).expect("volatile engine cannot fail");

@@ -6,7 +6,7 @@
 //!
 //! | family        | lints                                   | invariant protected                         |
 //! |---------------|-----------------------------------------|---------------------------------------------|
-//! | determinism   | `det-hash-iter`, `det-wall-clock`       | bit-identical reports across worker counts  |
+//! | determinism   | `det-hash-iter`, `det-wall-clock`       | bit-identical reports                       |
 //! | concurrency   | `conc-thread-local`, `conc-panic-payload` | `fan_out` jobs stay thread-local-clean    |
 //! | durability    | `dur-fsync`, `dur-framing`, `dur-group-ack`, `dur-atomic-publish` | fsync-before-ack; single-sourced framing; commit-dominated ack sink; crash-atomic snapshot publish |
 //! | contract      | `contract-exit`, `contract-span`, `contract-curve-eq` | unified exit codes; RAII spans held open; canonical curve equality |
@@ -73,11 +73,10 @@ const HASH_ITER_METHODS: &[&str] = &[
 /// outputs are durations, not analysis results.
 const WALL_CLOCK_EXEMPT: &[&str] = &["crates/telemetry/src/record.rs"];
 
-/// Files allowed to touch the `limits` thread-local machinery: the
-/// snapshot/reinstall protocol itself, the stack it manages, and the
-/// telemetry sink (whose thread-local buffer is per-thread by design).
+/// Files allowed to touch the `limits` thread-local machinery: the stack
+/// itself and the telemetry sink (whose thread-local buffer is
+/// per-thread by design).
 const THREAD_LOCAL_HOME: &[&str] = &[
-    "crates/core/src/par.rs",
     "crates/curves/src/limits.rs",
     "crates/telemetry/src/record.rs",
 ];

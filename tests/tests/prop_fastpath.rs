@@ -1,47 +1,100 @@
-//! Property tests for the fast-path engine: worker-count invariance of
-//! the parallel fan-out and Rat-exactness of incremental
-//! re-certification against the from-scratch analysis.
+//! Property tests for the fast-path engine: Algorithm Decomposed is
+//! Algorithm Integrated over the singleton partition, and incremental
+//! re-certification is Rat-exact against the from-scratch analysis.
 
+use dnc_core::decomposed::Decomposed;
 use dnc_core::integrated::Integrated;
 use dnc_core::DelayAnalysis;
 use dnc_net::builders::{random_feedforward, tandem, TandemOptions};
-use dnc_net::Flow;
-use dnc_num::{int, rat};
+use dnc_net::pairing::PairingStrategy;
+use dnc_net::{Discipline, Flow, Network, Server};
+use dnc_num::{int, rat, Rat};
 use dnc_traffic::TrafficSpec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// Networks drawn per proptest case of
+/// `decomposed_is_integrated_over_singletons`.
+const NETS_PER_CASE: usize = 10;
+
+/// EDF local deadlines, in ticks.
+const DEADLINES: std::ops::RangeInclusive<i64> = 40..=120;
+
+/// A random feedforward network with every server's discipline drawn
+/// from FIFO/SP/GPS/EDF, flow priorities from 0–2, and an EDF local
+/// deadline on every EDF hop (loose enough that most draws are
+/// schedulable).
+fn mixed_network(rng: &mut StdRng) -> Network {
+    const DISCIPLINES: [Discipline; 4] = [
+        Discipline::Fifo,
+        Discipline::StaticPriority,
+        Discipline::Gps,
+        Discipline::Edf,
+    ];
+    let base = random_feedforward(rng, 6, 8, 4, rat(3, 4), true);
+    let mut net = Network::new();
+    for s in base.servers() {
+        net.add_server(Server {
+            name: s.name.clone(),
+            rate: s.rate,
+            discipline: DISCIPLINES[rng.gen_range(0..DISCIPLINES.len())],
+        });
+    }
+    for f in base.flows() {
+        let id = net
+            .add_flow(Flow {
+                priority: rng.gen_range(0..=2),
+                ..f.clone()
+            })
+            .expect("same servers, same route");
+        for &s in &f.route {
+            if net.server(s).discipline == Discipline::Edf {
+                net.set_local_deadline(id, s, Rat::from(rng.gen_range(DEADLINES)));
+            }
+        }
+    }
+    net
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fanning pairing groups over worker threads must not change a
-    /// single byte of the report: the wave schedule fixes both what each
-    /// worker sees and the merge order.
+    /// Decomposed is Integrated with every server its own group: on
+    /// mixed-discipline networks both give the same report, or fail
+    /// with the same error. At least half the draws must analyze, so
+    /// the equality is not carried by errors alone.
     #[test]
-    fn worker_count_never_changes_the_report(seed in 0u64..1 << 32) {
+    fn decomposed_is_integrated_over_singletons(seed in 0u64..1 << 32) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let net = random_feedforward(&mut rng, 5, 7, 4, rat(3, 4), true);
-        let sequential = Integrated::paper().analyze(&net);
-        for workers in [2usize, 8] {
-            let parallel = Integrated::paper().with_workers(workers).analyze(&net);
-            match (&sequential, &parallel) {
+        let singletons = Integrated {
+            strategy: PairingStrategy::Singletons,
+            ..Integrated::paper()
+        };
+        let mut analyzed = 0;
+        for _ in 0..NETS_PER_CASE {
+            let net = mixed_network(&mut rng);
+            match (Decomposed::paper().analyze(&net), singletons.analyze(&net)) {
                 (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(
-                        a.to_csv(), b.to_csv(),
-                        "workers={} diverged from sequential", workers
-                    );
+                    prop_assert_eq!(a.to_csv(), b.to_csv());
                     for (fa, fb) in a.flows.iter().zip(b.flows.iter()) {
-                        prop_assert_eq!(fa.e2e, fb.e2e);
+                        prop_assert_eq!(fa.e2e, fb.e2e, "flow {}", fa.name);
                     }
+                    analyzed += 1;
                 }
                 (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-                _ => prop_assert!(
+                (a, b) => prop_assert!(
                     false,
-                    "sequential and workers={} disagree on success", workers
+                    "decomposed {:?} and singletons {:?} disagree on success",
+                    a.map(|r| r.to_csv()),
+                    b.map(|r| r.to_csv())
                 ),
             }
         }
+        prop_assert!(
+            2 * analyzed >= NETS_PER_CASE,
+            "only {} of {} draws analyzed", analyzed, NETS_PER_CASE
+        );
     }
 
     /// Randomized admit + release against the incremental splice: every

@@ -124,7 +124,7 @@ proptest! {
         prop_assert!(weight(&optimal) >= weight(&greedy),
             "optimal weight {} below greedy {}", weight(&optimal), weight(&greedy));
         // And the resulting analysis is still sound (≤ decomposed).
-        let alg = Integrated { cap: OutputCap::Shift, strategy: PairingStrategy::OptimalSmall, ..Integrated::default() };
+        let alg = Integrated { cap: OutputCap::Shift, strategy: PairingStrategy::OptimalSmall };
         let di = alg.analyze(&net).unwrap();
         let dd = Decomposed::paper().analyze(&net).unwrap();
         for (a, b) in di.flows.iter().zip(dd.flows.iter()) {
