@@ -19,6 +19,6 @@ pub const USAGE: i32 = 2;
 /// exhaustion after the full degradation chain.
 pub const NO_BOUND: i32 = 3;
 
-/// The perf-trajectory regression gate tripped: at least one metric of
-/// the latest bench record left the noise band of the recent history.
+/// The bench gate failed: the new bench record differs from its pinned
+/// record (the latest earlier record with the same knobs), or has none.
 pub const REGRESSION: i32 = 4;

@@ -18,7 +18,7 @@
 //! | `dnc torture` | [`torture`] | recovery from storage faults |
 //! | `dnc socket` | [`socket`] | group commit vs per-op fsync |
 //! | `dnc throughput` | [`throughput`] | incremental vs from-scratch certification |
-//! | `dnc bench` | [`runner`] | the perf trajectory |
+//! | `dnc bench` | [`runner`] | the exact perf record: bounds and work counters, gated by equality |
 //!
 //! The shared machinery here serves them and the Criterion benches:
 //! tandem parameter sweeps over network size `n` and work load
@@ -39,7 +39,6 @@
 pub mod chaos;
 pub mod chart;
 pub mod churn;
-pub mod dashboard;
 pub mod exit;
 pub mod experiments;
 pub mod profile;

@@ -1,114 +1,116 @@
-//! Profile harness as a library: wall-time one analysis of the paper
-//! tandem per algorithm, so `dnc bench` can fold algorithm-level
-//! cost into the perf trajectory alongside the engine-level throughput
-//! numbers. `dnc profile` remains the interactive variant over arbitrary
-//! scenario files; this one is deliberately pinned to [`paper_tandem`]
-//! so trajectory points are comparable across runs.
+//! One profiled analysis per algorithm: the loop behind `dnc profile`
+//! and the profile stage of `dnc bench`.
+//!
+//! [`run_one`] runs one analysis in its own telemetry window — `reset`,
+//! run, `snapshot`, `take_trace` — so the window's counters are the work
+//! of that analysis alone. The memos are process-global, though: an
+//! algorithm profiled after another can hit entries the earlier one
+//! left, so counters compare only between runs of the same sequence in
+//! a fresh process.
 
-use crate::{paper_tandem, Algo};
+use crate::trajectory::time_micros;
+use dnc_core::decomposed::Decomposed;
+use dnc_core::fifo_family::FifoFamily;
+use dnc_core::integrated::Integrated;
+use dnc_core::service_curve::ServiceCurve;
+use dnc_core::{AnalysisReport, DelayAnalysis};
+use dnc_net::Network;
 use dnc_num::Rat;
+use dnc_telemetry::{Snapshot, TraceEvent};
+use std::fmt::Write as _;
 
-/// Knobs of a profile run.
+/// One profiled analysis run: the report plus a free-form notes string.
+pub type ProfileRun<'a> = dyn Fn(&Network) -> Result<(AnalysisReport, String), String> + 'a;
+
+/// One algorithm's row of a profile.
 #[derive(Clone, Debug)]
-pub struct ProfileConfig {
-    /// Tandem size.
-    pub n: usize,
-    /// Work load `U`.
-    pub u: Rat,
-    /// Analyses of each algorithm, averaged over (cold every time).
-    pub repeats: usize,
-}
-
-impl Default for ProfileConfig {
-    fn default() -> ProfileConfig {
-        ProfileConfig {
-            n: 8,
-            u: Rat::new(6, 20),
-            repeats: 3,
-        }
-    }
-}
-
-/// One algorithm's measurement.
-#[derive(Clone, Debug)]
-pub struct AlgoProfile {
-    /// Algorithm label.
-    pub label: &'static str,
-    /// Mean wall time per analysis, in microseconds.
+pub struct ProfileRow {
+    /// Algorithm name; `dnc profile` prefixes its telemetry keys with it.
+    pub name: &'static str,
+    /// The analysis report (`None` when the run failed).
+    pub report: Option<AnalysisReport>,
+    /// Wall time of the analysis, in microseconds.
     pub wall_us: u64,
-    /// Connection 0's bound (`None` when the algorithm diverged).
-    pub bound: Option<Rat>,
+    /// The run's telemetry window (empty without `--features telemetry`).
+    pub snap: Snapshot,
+    /// The window's span events, for `--trace`.
+    pub events: Vec<TraceEvent>,
+    /// `iters=`/`pairs=` notes, or why the run failed.
+    pub notes: String,
 }
 
-/// A full profile run.
-#[derive(Clone, Debug)]
-pub struct ProfileReport {
-    /// Configuration the run used.
-    pub cfg: ProfileConfig,
-    /// One entry per algorithm, [`Algo`] declaration order.
-    pub algos: Vec<AlgoProfile>,
+impl ProfileRow {
+    /// Worst end-to-end bound across flows (`None` when the run failed).
+    pub fn bound(&self) -> Option<Rat> {
+        self.report.as_ref()?.flows.iter().map(|f| f.e2e).max()
+    }
 }
 
-/// Time every algorithm on the pinned tandem.
-pub fn run_profile(cfg: &ProfileConfig) -> ProfileReport {
-    let _span = dnc_telemetry::span("profile.run");
-    let tandem = paper_tandem(cfg.n, cfg.u);
-    let repeats = cfg.repeats.max(1);
-    let algos = [
-        Algo::Decomposed,
-        Algo::ServiceCurve,
-        Algo::Integrated,
-        Algo::FifoFamily,
-    ]
-    .into_iter()
-    .map(|algo| {
-        let (bound, total_us) = crate::trajectory::time_micros(|| {
-            let mut bound = None;
-            for _ in 0..repeats {
-                bound = algo
-                    .analyze(&tandem.net)
-                    .ok()
-                    .map(|r| r.bound(tandem.conn0));
+/// Run one analysis in its own telemetry window.
+pub fn run_one(net: &Network, name: &'static str, run: &ProfileRun<'_>) -> ProfileRow {
+    dnc_telemetry::reset();
+    let (outcome, wall_us) = time_micros(|| run(net));
+    let snap = dnc_telemetry::snapshot();
+    let events = dnc_telemetry::take_trace();
+    let (report, notes) = match outcome {
+        Ok((report, mut notes)) => {
+            let pairs = snap.counter_value("net.pairing.pairs");
+            if pairs > 0 {
+                if !notes.is_empty() {
+                    notes.push(' ');
+                }
+                let _ = write!(notes, "pairs={pairs}");
             }
-            bound
-        });
-        AlgoProfile {
-            label: algo.label(),
-            wall_us: total_us / repeats as u64,
-            bound,
+            (Some(report), notes)
         }
-    })
-    .collect();
-    ProfileReport {
-        cfg: cfg.clone(),
-        algos,
+        Err(e) => (None, format!("failed: {e}")),
+    };
+    ProfileRow {
+        name,
+        report,
+        wall_us,
+        snap,
+        events,
+        notes,
     }
 }
 
-/// The run as `dnc-metrics/v1` series: one row per algorithm.
-pub fn profile_series(report: &ProfileReport) -> Vec<dnc_telemetry::export::Series> {
-    use dnc_telemetry::export::{Cell, Series};
-    use dnc_telemetry::schema;
-    let mut s = Series::new(
-        "profile",
-        vec![
-            schema::LABEL,
-            schema::NETWORK_SIZE,
-            schema::WORK_LOAD,
-            schema::WALL_TIME,
-            schema::bound_column(),
-        ],
-    );
-    for a in &report.algos {
-        s.push_row(vec![
-            Cell::Text(a.label.to_string()),
-            Cell::int(report.cfg.n as u64),
-            Cell::Num(report.cfg.u.to_f64()),
-            Cell::int(a.wall_us),
-            a.bound.map_or(Cell::Null, |b| Cell::Num(b.to_f64())),
-        ]);
+/// Profile one feedforward analysis under its own name.
+pub fn run_analysis(net: &Network, alg: &dyn DelayAnalysis) -> ProfileRow {
+    run_one(net, alg.name(), &|net| {
+        alg.analyze(net)
+            .map(|r| (r, String::new()))
+            .map_err(|e| e.to_string())
+    })
+}
+
+/// The profile stage of `dnc bench`: Service Curve, Decomposed,
+/// Integrated and FIFO-family on `net`, in that order.
+pub fn profile_all(net: &Network) -> Vec<ProfileRow> {
+    let algos: [Box<dyn DelayAnalysis>; 4] = [
+        Box::new(ServiceCurve::paper()),
+        Box::new(Decomposed::paper()),
+        Box::new(Integrated::paper()),
+        Box::new(FifoFamily::default()),
+    ];
+    algos
+        .iter()
+        .map(|alg| run_analysis(net, alg.as_ref()))
+        .collect()
+}
+
+/// Fold one run's snapshot into `into`, prefixing every
+/// span/counter/histogram name with `prefix/` so runs stay separable.
+pub fn merge_namespaced(prefix: &str, snap: Snapshot, into: &mut Snapshot) {
+    for (k, v) in snap.spans {
+        into.spans.insert(format!("{prefix}/{k}"), v);
     }
-    vec![s]
+    for (k, v) in snap.counters {
+        into.counters.insert(format!("{prefix}/{k}"), v);
+    }
+    for (k, v) in snap.histograms {
+        into.histograms.insert(format!("{prefix}/{k}"), v);
+    }
 }
 
 #[cfg(test)]
@@ -116,26 +118,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn profile_series_validate_against_schema() {
-        let report = run_profile(&ProfileConfig {
-            n: 2,
-            repeats: 1,
-            ..ProfileConfig::default()
-        });
-        crate::validated_json(profile_series(&report));
+    fn profiles_all_four_algorithms() {
+        let tandem = crate::paper_tandem(3, Rat::new(3, 5));
+        let rows = profile_all(&tandem.net);
+        let names: Vec<&str> = rows.iter().map(|r| r.name).collect();
+        assert_eq!(
+            names,
+            ["service-curve", "decomposed", "integrated", "fifo-family"]
+        );
+        for r in &rows {
+            assert!(r.bound().is_some(), "{} failed: {}", r.name, r.notes);
+        }
+        let worst = |name: &str| rows.iter().find(|r| r.name == name).unwrap().bound();
+        assert!(worst("integrated") <= worst("decomposed"));
     }
 
     #[test]
-    fn profiles_all_four_algorithms() {
-        let report = run_profile(&ProfileConfig {
-            n: 3,
-            repeats: 1,
-            ..ProfileConfig::default()
-        });
-        assert_eq!(report.algos.len(), 4);
-        for a in &report.algos {
-            assert!(a.bound.is_some(), "{} diverged on a small tandem", a.label);
-        }
-        assert_eq!(report.algos[0].label, "decomposed");
+    fn failed_runs_have_no_bound_and_say_why() {
+        let tandem = crate::paper_tandem(2, Rat::new(1, 2));
+        let row = run_one(&tandem.net, "broken", &|_| Err("no bound".to_string()));
+        assert_eq!(row.bound(), None);
+        assert_eq!(row.notes, "failed: no bound");
     }
 }

@@ -1,49 +1,51 @@
-//! One-command bench recorder: run every harness with pinned seeds,
-//! archive their raw `dnc-metrics/v1` outputs, and append one
-//! `dnc-bench/v1` record per trajectory.
+//! `dnc bench`: one exact perf record per run, gated by equality.
 //!
-//! `run_bench` is the engine behind `dnc bench`. One invocation:
+//! [`run_bench`] runs five stages in one process, each in one fixed
+//! configuration, in this order:
 //!
-//! 1. runs throughput + profile inside one telemetry window and
-//!    chaos + churn inside a second,
-//! 2. archives each harness's raw metrics doc under
-//!    `<out_dir>/runs/<sha>-<ts>/` (validated against the
-//!    `dnc-metrics/v1` schema) so repeated runs stop silently
-//!    overwriting `results/metrics-*.json`,
-//! 3. appends a throughput-family record to `BENCH_throughput.json`
-//!    and a churn-family record to `BENCH_churn.json`,
-//! 4. gates the grown trajectories and, on request, renders the static
-//!    dashboard.
+//! 1. `profile` — Service Curve, Decomposed, Integrated and FIFO-family
+//!    on `paper_tandem(6, 3/5)` (the network of `dnc tandem 6 3/5`).
+//!    It runs first, so it sees cold memos exactly as `dnc profile`
+//!    does;
+//! 2. `throughput`;
+//! 3. `socket`;
+//! 4. `chaos`;
+//! 5. `churn`.
 //!
-//! The runner never decides exit codes — it reports soundness failures
-//! and gate verdicts, and the callers map those onto
-//! [`crate::exit::VIOLATION`] / [`crate::exit::REGRESSION`].
+//! Every stage except `socket` runs in its own telemetry window; the
+//! window's counters and span counts land in the record's `counters`
+//! under `<stage>/` (`profile/<algo>/` for the profile stage's one window
+//! per algorithm). `socket` runs outside every window: how its clients'
+//! requests group into commits depends on arrival timing, so the record
+//! keeps only its acked and mismatch counts. `metrics` holds exact
+//! values only — bounds, unit, commit and soundness counts, and the
+//! number of curves each windowed stage added to the interner
+//! (`<stage>.intern_added`). No wall time enters a record.
+//!
+//! The profile, throughput and socket stages append one record to
+//! `BENCH_throughput.json`, chaos and churn one to `BENCH_churn.json`.
+//! Each file is then parsed whole and its new record compared with its
+//! pinned record ([`crate::trajectory::pinned_record`]). The runner never
+//! decides exit codes: it reports soundness failures and differences,
+//! and the caller maps them onto [`crate::exit::VIOLATION`] /
+//! [`crate::exit::REGRESSION`].
 
-use crate::dashboard::{render_dashboard, Panel};
+use crate::profile::{self, ProfileRow};
 use crate::trajectory::{
-    append_record, evaluate_gate, load_trajectory, render_gate_table, resolve_stamp, BenchRecord,
-    GateConfig, GateReport, Stamp,
+    append_record, load_trajectory, pinned_record, record_diff, resolve_stamp, BenchRecord, Stamp,
 };
-use crate::{chaos, churn, profile, socket, throughput, write_metrics_doc};
+use crate::{chaos, churn, paper_tandem, socket, throughput};
+use dnc_num::Rat;
+use dnc_telemetry::Snapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// Knobs of one recorded bench run.
+/// Where a recorded bench run goes. The stages' configuration is fixed.
 #[derive(Clone, Debug)]
 pub struct BenchOptions {
-    /// Shrunk harness configs for CI and smoke runs.
-    pub quick: bool,
-    /// Master seed handed to every harness.
-    pub seed: u64,
-    /// Root for raw-metrics archives (`<out_dir>/runs/<slug>/`).
-    pub out_dir: PathBuf,
     /// Directory holding the `BENCH_*.json` trajectories (repo root).
     pub bench_dir: PathBuf,
-    /// Gate window/threshold used for the verdicts.
-    pub gate: GateConfig,
-    /// Render the static dashboard into this directory.
-    pub dashboard: Option<PathBuf>,
     /// Injected run identity; `None` resolves the ambient stamp.
     pub stamp: Option<Stamp>,
 }
@@ -51,12 +53,7 @@ pub struct BenchOptions {
 impl Default for BenchOptions {
     fn default() -> BenchOptions {
         BenchOptions {
-            quick: false,
-            seed: 1,
-            out_dir: PathBuf::from("results"),
             bench_dir: PathBuf::from("."),
-            gate: GateConfig::default(),
-            dashboard: None,
             stamp: None,
         }
     }
@@ -65,299 +62,210 @@ impl Default for BenchOptions {
 /// Everything one run produced.
 #[derive(Clone, Debug)]
 pub struct BenchSummary {
-    /// The stamp written into both records.
-    pub stamp: Stamp,
-    /// Where the raw metrics docs were archived.
-    pub archive_dir: PathBuf,
-    /// The two trajectory files appended to.
-    pub trajectory_paths: [PathBuf; 2],
-    /// Soundness failures any harness reported (empty = all sound).
+    /// Soundness failures any stage reported (empty = all sound).
     pub harness_failures: Vec<String>,
-    /// Gate verdicts per trajectory, `(name, report)`.
-    pub gates: Vec<(String, GateReport)>,
-    /// `index.html` path when a dashboard was rendered.
-    pub dashboard_index: Option<PathBuf>,
-    /// Human-readable run summary (harness lines + gate tables).
+    /// Per trajectory file, the keys whose values differ from its pinned
+    /// record; `None` when no earlier record has the same knobs.
+    pub diffs: Vec<Option<Vec<String>>>,
+    /// Human-readable run summary (stage lines + comparisons).
     pub text: String,
 }
 
 impl BenchSummary {
-    /// True when any gated metric of any trajectory left its band.
-    pub fn regressed(&self) -> bool {
-        self.gates.iter().any(|(_, g)| g.regressed())
-    }
-
-    /// True when every harness was sound.
+    /// True when every stage was sound.
     pub fn sound(&self) -> bool {
         self.harness_failures.is_empty()
     }
-}
 
-fn throughput_config(opts: &BenchOptions) -> throughput::ThroughputConfig {
-    if opts.quick {
-        throughput::ThroughputConfig {
-            n: 6,
-            ops: 16,
-            seed: opts.seed,
-            ..throughput::ThroughputConfig::default()
-        }
-    } else {
-        throughput::ThroughputConfig {
-            seed: opts.seed,
-            ..throughput::ThroughputConfig::default()
-        }
+    /// True when every new record equals its pinned record.
+    pub fn matches_pins(&self) -> bool {
+        self.diffs
+            .iter()
+            .all(|d| d.as_ref().is_some_and(Vec::is_empty))
     }
 }
 
-fn profile_config(opts: &BenchOptions) -> profile::ProfileConfig {
-    if opts.quick {
-        profile::ProfileConfig {
-            n: 4,
-            repeats: 1,
-            ..profile::ProfileConfig::default()
-        }
-    } else {
-        profile::ProfileConfig::default()
+/// The seed of every stage.
+const SEED: u64 = 1;
+
+/// Size and load of the profile stage's tandem.
+fn profile_tandem() -> (usize, Rat) {
+    (6, Rat::new(3, 5))
+}
+
+fn throughput_config() -> throughput::ThroughputConfig {
+    throughput::ThroughputConfig {
+        n: 6,
+        ops: 16,
+        seed: SEED,
+        ..throughput::ThroughputConfig::default()
     }
 }
 
-fn socket_config(opts: &BenchOptions) -> socket::SocketConfig {
-    if opts.quick {
-        socket::SocketConfig {
-            ops_per_client: 6,
-            seed: opts.seed,
-            ..socket::SocketConfig::default()
-        }
-    } else {
-        socket::SocketConfig {
-            seed: opts.seed,
-            ..socket::SocketConfig::default()
-        }
+fn socket_config() -> socket::SocketConfig {
+    socket::SocketConfig {
+        ops_per_client: 6,
+        seed: SEED,
+        ..socket::SocketConfig::default()
     }
 }
 
-fn chaos_config(opts: &BenchOptions) -> chaos::ChaosConfig {
-    if opts.quick {
-        chaos::ChaosConfig {
-            scenarios: 4,
-            seed: opts.seed,
-            ticks: 256,
-        }
-    } else {
-        chaos::ChaosConfig {
-            seed: opts.seed,
-            ..chaos::ChaosConfig::default()
-        }
+fn chaos_config() -> chaos::ChaosConfig {
+    chaos::ChaosConfig {
+        scenarios: 4,
+        seed: SEED,
+        ticks: 256,
     }
 }
 
-fn churn_config(opts: &BenchOptions) -> churn::ChurnConfig {
-    if opts.quick {
-        churn::ChurnConfig {
-            seqs: 2,
-            ops: 12,
-            seed: opts.seed,
-            kill_points: 2,
-            snapshot_every: None,
-        }
-    } else {
-        churn::ChurnConfig {
-            seed: opts.seed,
-            ..churn::ChurnConfig::default()
-        }
+fn churn_config() -> churn::ChurnConfig {
+    churn::ChurnConfig {
+        seqs: 2,
+        ops: 12,
+        seed: SEED,
+        kill_points: 2,
+        snapshot_every: None,
     }
 }
 
-/// Counter map of a snapshot: raw counters plus per-span call counts.
-fn snapshot_counters(snap: &dnc_telemetry::Snapshot) -> BTreeMap<String, u64> {
-    let mut map = snap.counters.clone();
+/// A stamped record whose knobs are `knobs` plus the seed and whether
+/// this build records telemetry.
+fn new_record(stamp: &Stamp, knobs: &[(&str, String)]) -> BenchRecord {
+    let mut record = BenchRecord::stamped(stamp);
+    let telemetry = if dnc_telemetry::enabled() {
+        "on"
+    } else {
+        "off"
+    };
+    record.knobs = BTreeMap::from([
+        ("seed".to_string(), SEED.to_string()),
+        ("telemetry".to_string(), telemetry.to_string()),
+    ]);
+    for (k, v) in knobs {
+        record.knobs.insert(k.to_string(), v.clone());
+    }
+    record
+}
+
+/// Add one telemetry window's counters and span counts under `prefix/`.
+fn add_window(record: &mut BenchRecord, prefix: &str, snap: &Snapshot) {
+    for (name, &value) in &snap.counters {
+        record.counters.insert(format!("{prefix}/{name}"), value);
+    }
     for (name, stat) in &snap.spans {
-        map.insert(format!("span.{name}.count"), stat.count);
-    }
-    map
-}
-
-/// Derived cache hit rate of a snapshot window, when the cache saw
-/// traffic at all.
-fn cache_hit_rate(snap: &dnc_telemetry::Snapshot) -> Option<f64> {
-    let hit = snap.counter_value("cache.hit");
-    let miss = snap.counter_value("cache.miss");
-    let total = hit + miss;
-    if total == 0 {
-        None
-    } else {
-        Some(hit as f64 / total as f64)
+        record
+            .counters
+            .insert(format!("{prefix}/span.{name}.count"), stat.count);
     }
 }
 
-fn shared_knobs(opts: &BenchOptions) -> BTreeMap<String, String> {
-    BTreeMap::from([
-        ("quick".to_string(), opts.quick.to_string()),
-        ("seed".to_string(), opts.seed.to_string()),
-    ])
+/// Run `stage` in its own telemetry window, adding the window to
+/// `record` under `name/` and the curves it interned as
+/// `name.intern_added`.
+fn windowed<T>(record: &mut BenchRecord, name: &str, stage: impl FnOnce() -> T) -> T {
+    let interned = dnc_curves::intern::store_len();
+    dnc_telemetry::reset();
+    let out = stage();
+    add_window(record, name, &dnc_telemetry::snapshot());
+    add_interned(record, name, interned);
+    out
 }
 
-/// Read a just-written metrics doc back and check it against the
-/// `dnc-metrics/v1` schema, so a malformed archive fails the run
-/// instead of poisoning the trajectory's provenance.
-fn check_archived(path: &std::path::Path) -> std::io::Result<()> {
-    let text = std::fs::read_to_string(path)?;
-    dnc_telemetry::schema::validate_metrics(&text).map_err(|e| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("{}: {e}", path.display()),
-        )
-    })
+/// Record as `<stage>.intern_added` how many curves the stage added to
+/// the interner, which held `before` curves when it started. The
+/// interner's total size is not recorded: it includes the socket
+/// stage's curves, and which aggregates those clients build depends on
+/// their arrival timing.
+fn add_interned(record: &mut BenchRecord, stage: &str, before: usize) {
+    let added = dnc_curves::intern::store_len().saturating_sub(before);
+    record.count(format!("{stage}.intern_added"), added as u64);
 }
 
-/// Run all four harnesses, archive, append, gate, and (optionally)
-/// render the dashboard. See the module docs for the exact sequence.
+/// Run the five stages, append one record per trajectory, and compare
+/// each with its pinned record. See the module docs for the sequence.
 pub fn run_bench(opts: &BenchOptions) -> std::io::Result<BenchSummary> {
     let stamp = opts.stamp.clone().unwrap_or_else(resolve_stamp);
-    // Same SHA + same second (back-to-back runs) must not silently
-    // overwrite an earlier run's raw archive: suffix until fresh.
-    let runs = opts.out_dir.join("runs");
-    let mut archive_dir = runs.join(stamp.run_slug());
-    let mut nth = 1u32;
-    while archive_dir.exists() {
-        nth += 1;
-        archive_dir = runs.join(format!("{}-{nth}", stamp.run_slug()));
-    }
-    std::fs::create_dir_all(&archive_dir)?;
     let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "bench: {} run, seed {}, {} @ {}",
-        if opts.quick { "quick" } else { "full" },
-        opts.seed,
-        stamp.git_sha,
-        stamp.timestamp
-    );
+    let _ = writeln!(text, "bench: {} @ {}", stamp.git_sha, stamp.timestamp);
     let mut failures = Vec::new();
 
-    // Window 1: throughput + profile + socket → BENCH_throughput.json.
-    let tcfg = throughput_config(opts);
-    let pcfg = profile_config(opts);
-    let scfg = socket_config(opts);
-    dnc_telemetry::reset();
-    let tp = throughput::run_throughput(&tcfg);
-    let prof = profile::run_profile(&pcfg);
-    let sock = socket::run_socket(&scfg);
-    let snap1 = dnc_telemetry::snapshot();
-    for (name, series) in [
-        ("throughput", throughput::throughput_series(&tp)),
-        ("profile", profile::profile_series(&prof)),
-        ("socket", socket::socket_series(&sock)),
-    ] {
-        check_archived(&write_metrics_doc(&archive_dir, name, series)?)?;
+    // Stage 1: profile, one window per algorithm.
+    let (n, u) = profile_tandem();
+    let interned = dnc_curves::intern::store_len();
+    let rows = profile::profile_all(&paper_tandem(n, u).net);
+    let (tcfg, scfg) = (throughput_config(), socket_config());
+    let algorithms: Vec<&str> = rows.iter().map(|r| r.name).collect();
+    let mut tp_record = new_record(
+        &stamp,
+        &[
+            ("profile.n", n.to_string()),
+            ("profile.u", u.to_string()),
+            ("profile.algorithms", algorithms.join(",")),
+            ("throughput.n", tcfg.n.to_string()),
+            ("throughput.u", tcfg.u.to_string()),
+            ("throughput.ops", tcfg.ops.to_string()),
+            ("socket.clients", scfg.clients.to_string()),
+            ("socket.ops", scfg.ops_per_client.to_string()),
+            ("socket.batch", scfg.batch.to_string()),
+        ],
+    );
+    for row in &rows {
+        add_window(&mut tp_record, &format!("profile/{}", row.name), &row.snap);
+        if let Some(b) = row.bound() {
+            tp_record.bound(format!("profile.{}.bound", row.name), b);
+        }
     }
+    add_interned(&mut tp_record, "profile", interned);
+    let _ = writeln!(text, "  {}", profile_one_liner(&rows));
 
+    // Stage 2: throughput.
+    let tp = windowed(&mut tp_record, "throughput", || {
+        throughput::run_throughput(&tcfg)
+    });
     if !tp.sound() {
         failures.push(format!(
             "throughput: {} cross-mode mismatch(es)",
             tp.mismatches.len()
         ));
     }
+    for mode in &tp.modes {
+        tp_record.count(format!("throughput.{}.units", mode.label), mode.units);
+    }
+    if let Some(base) = tp.mode("scratch-seq") {
+        tp_record.count("throughput.commits", base.commits);
+    }
+    tp_record.count("throughput.mismatches", tp.mismatches.len() as u64);
+    let _ = writeln!(text, "  {}", throughput_one_liner(&tp));
+
+    // Stage 3: socket, outside every window.
+    let sock = socket::run_socket(&scfg);
     if !sock.sound() {
         failures.push(format!(
             "socket: {} soundness mismatch(es)",
             sock.mismatches.len()
         ));
     }
-    let mut throughput_record = BenchRecord::stamped(&stamp);
-    throughput_record.knobs = shared_knobs(opts);
-    for (k, v) in [
-        ("throughput.n", tcfg.n.to_string()),
-        ("throughput.ops", tcfg.ops.to_string()),
-        ("profile.n", pcfg.n.to_string()),
-        ("profile.repeats", pcfg.repeats.to_string()),
-        ("socket.clients", scfg.clients.to_string()),
-        ("socket.ops", scfg.ops_per_client.to_string()),
-        ("socket.batch", scfg.batch.to_string()),
-    ] {
-        throughput_record.knobs.insert(k.to_string(), v);
-    }
-    for mode in &tp.modes {
-        throughput_record.metrics.insert(
-            format!("throughput.{}.wall_us", mode.label),
-            mode.wall_us as f64,
-        );
-        throughput_record.metrics.insert(
-            format!("throughput.{}.admissions_per_sec", mode.label),
-            mode.admissions_per_sec,
-        );
-        throughput_record.metrics.insert(
-            format!("throughput.{}.units", mode.label),
-            mode.units as f64,
-        );
-    }
-    throughput_record
-        .metrics
-        .insert("throughput.speedup".to_string(), tp.speedup());
-    throughput_record.metrics.insert(
-        "throughput.mismatches".to_string(),
-        tp.mismatches.len() as f64,
-    );
-    if let Some(base) = tp.mode("scratch-seq") {
-        throughput_record
-            .metrics
-            .insert("throughput.commits".to_string(), base.commits as f64);
-    }
-    for a in &prof.algos {
-        throughput_record
-            .metrics
-            .insert(format!("profile.{}.wall_us", a.label), a.wall_us as f64);
-        if let Some(b) = a.bound {
-            throughput_record
-                .metrics
-                .insert(format!("profile.{}.bound", a.label), b.to_f64());
-        }
-    }
     for m in &sock.modes {
         let key = m.label.replace('-', "_");
-        throughput_record
-            .metrics
-            .insert(format!("socket.{key}.acks_per_sec"), m.acks_per_sec);
-        throughput_record
-            .metrics
-            .insert(format!("socket.{key}.wall_us"), m.wall_us as f64);
-        throughput_record.metrics.insert(
-            format!("socket.{key}.group_commits"),
-            m.group_commits as f64,
-        );
+        tp_record.count(format!("socket.{key}.acked"), m.acked);
     }
-    throughput_record
-        .metrics
-        .insert("socket.speedup".to_string(), sock.speedup());
-    throughput_record.metrics.insert(
-        "socket.mismatches".to_string(),
-        sock.mismatches.len() as f64,
-    );
-    if let Some(rate) = cache_hit_rate(&snap1) {
-        throughput_record
-            .metrics
-            .insert("cache.hit_rate".to_string(), rate);
-    }
-    throughput_record.counters = snapshot_counters(&snap1);
-
-    let _ = writeln!(text, "  {}", throughput_one_liner(&tp));
-    let _ = writeln!(text, "  {}", profile_one_liner(&prof));
+    tp_record.count("socket.mismatches", sock.mismatches.len() as u64);
     let _ = writeln!(text, "  {}", socket_one_liner(&sock));
 
-    // Window 2: chaos + churn → BENCH_churn.json.
-    let ccfg = chaos_config(opts);
-    let ucfg = churn_config(opts);
-    dnc_telemetry::reset();
-    let chaos_rep = chaos::run_chaos(&ccfg);
-    let churn_rep = churn::run_churn(&ucfg);
-    let snap2 = dnc_telemetry::snapshot();
-    for (name, series) in [
-        ("chaos", chaos::chaos_series(&chaos_rep)),
-        ("churn", churn::churn_series(&churn_rep)),
-    ] {
-        check_archived(&write_metrics_doc(&archive_dir, name, series)?)?;
-    }
-
+    // Stages 4 and 5: chaos and churn.
+    let (ccfg, ucfg) = (chaos_config(), churn_config());
+    let mut churn_record = new_record(
+        &stamp,
+        &[
+            ("chaos.scenarios", ccfg.scenarios.to_string()),
+            ("chaos.ticks", ccfg.ticks.to_string()),
+            ("churn.seqs", ucfg.seqs.to_string()),
+            ("churn.ops", ucfg.ops.to_string()),
+            ("churn.kill_points", ucfg.kill_points.to_string()),
+        ],
+    );
+    let chaos_rep = windowed(&mut churn_record, "chaos", || chaos::run_chaos(&ccfg));
+    let churn_rep = windowed(&mut churn_record, "churn", || churn::run_churn(&ucfg));
     if chaos_rep.violation_count() > 0 {
         failures.push(format!(
             "chaos: {} bound violation(s)",
@@ -371,72 +279,33 @@ pub fn run_bench(opts: &BenchOptions) -> std::io::Result<BenchSummary> {
             churn_rep.recovery_failure_count()
         ));
     }
-    let mut churn_record = BenchRecord::stamped(&stamp);
-    churn_record.knobs = shared_knobs(opts);
-    for (k, v) in [
-        ("chaos.scenarios", ccfg.scenarios.to_string()),
-        ("chaos.ticks", ccfg.ticks.to_string()),
-        ("churn.seqs", ucfg.seqs.to_string()),
-        ("churn.ops", ucfg.ops.to_string()),
-        ("churn.kill_points", ucfg.kill_points.to_string()),
-    ] {
-        churn_record.knobs.insert(k.to_string(), v);
-    }
-    let m = &mut churn_record.metrics;
-    m.insert(
-        "chaos.scenarios".to_string(),
-        chaos_rep.outcomes.len() as f64,
-    );
-    m.insert(
-        "chaos.checked_claims".to_string(),
-        chaos_rep.checked_count() as f64,
-    );
-    m.insert(
-        "chaos.violations".to_string(),
-        chaos_rep.violation_count() as f64,
-    );
-    m.insert(
-        "churn.sequences".to_string(),
-        churn_rep.outcomes.len() as f64,
-    );
-    for (key, total) in [
-        (
-            "churn.commits",
-            churn_rep.outcomes.iter().map(|o| o.commits).sum::<u64>(),
-        ),
+    let outcomes = &churn_rep.outcomes;
+    for (key, n) in [
+        ("chaos.scenarios", chaos_rep.outcomes.len() as u64),
+        ("chaos.checked_claims", chaos_rep.checked_count() as u64),
+        ("chaos.violations", chaos_rep.violation_count() as u64),
+        ("churn.sequences", outcomes.len() as u64),
+        ("churn.commits", outcomes.iter().map(|o| o.commits).sum()),
         (
             "churn.rollbacks",
-            churn_rep.outcomes.iter().map(|o| o.rollbacks).sum::<u64>(),
+            outcomes.iter().map(|o| o.rollbacks).sum(),
         ),
         (
             "churn.cert_checks",
-            churn_rep
-                .outcomes
-                .iter()
-                .map(|o| o.cert_checks as u64)
-                .sum::<u64>(),
+            outcomes.iter().map(|o| o.cert_checks as u64).sum(),
         ),
         (
             "churn.recovery_checks",
-            churn_rep
-                .outcomes
-                .iter()
-                .map(|o| o.recovery_checks as u64)
-                .sum::<u64>(),
+            outcomes.iter().map(|o| o.recovery_checks as u64).sum(),
+        ),
+        ("churn.violations", churn_rep.violation_count() as u64),
+        (
+            "churn.recovery_failures",
+            churn_rep.recovery_failure_count() as u64,
         ),
     ] {
-        m.insert(key.to_string(), total as f64);
+        churn_record.count(key, n);
     }
-    m.insert(
-        "churn.violations".to_string(),
-        churn_rep.violation_count() as f64,
-    );
-    m.insert(
-        "churn.recovery_failures".to_string(),
-        churn_rep.recovery_failure_count() as f64,
-    );
-    churn_record.counters = snapshot_counters(&snap2);
-
     let _ = writeln!(
         text,
         "  chaos: {} scenario(s), {} claim(s) checked, {} violation(s)",
@@ -447,102 +316,97 @@ pub fn run_bench(opts: &BenchOptions) -> std::io::Result<BenchSummary> {
     let _ = writeln!(
         text,
         "  churn: {} sequence(s), {} violation(s), {} recovery failure(s)",
-        churn_rep.outcomes.len(),
+        outcomes.len(),
         churn_rep.violation_count(),
         churn_rep.recovery_failure_count()
     );
-    let _ = writeln!(text, "  archived raw metrics: {}", archive_dir.display());
 
-    // Append one record per trajectory, then gate the grown files.
-    let throughput_path = opts.bench_dir.join("BENCH_throughput.json");
-    let churn_path = opts.bench_dir.join("BENCH_churn.json");
-    append_record(&throughput_path, &throughput_record)?;
-    append_record(&churn_path, &churn_record)?;
-
-    let mut gates = Vec::new();
-    let mut panels_data = Vec::new();
-    for (name, path) in [("throughput", &throughput_path), ("churn", &churn_path)] {
+    // Append, then parse each whole file and compare with the pin.
+    let mut diffs = Vec::new();
+    for (file, record) in [
+        ("BENCH_throughput.json", &tp_record),
+        ("BENCH_churn.json", &churn_record),
+    ] {
+        let path = &opts.bench_dir.join(file);
+        append_record(path, record)?;
         let records = load_trajectory(path)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        let _ = writeln!(
-            text,
-            "  appended: {} (now {} record(s))",
-            path.display(),
-            records.len()
-        );
-        let gate = evaluate_gate(&records, &opts.gate);
-        let _ = write!(text, "{}", render_gate_table(name, &gate));
-        gates.push((name.to_string(), gate));
-        panels_data.push((name, records));
-    }
-
-    let dashboard_index = match &opts.dashboard {
-        Some(dir) => {
-            let panels: Vec<Panel> = panels_data
-                .iter()
-                .zip(&gates)
-                .map(|((name, records), (_, gate))| Panel {
-                    name,
-                    records,
-                    gate,
-                })
-                .collect();
-            let index = render_dashboard(dir, &panels)?;
-            let _ = writeln!(text, "  dashboard: {}", index.display());
-            Some(index)
+        let name = path.display();
+        match pinned_record(&records).zip(records.last()) {
+            None => {
+                let _ = writeln!(text, "  {name}: no pinned record with these knobs");
+                diffs.push(None);
+            }
+            Some((pinned, latest)) => {
+                let lines = record_diff(pinned, latest);
+                let at = format!(
+                    "the pinned record of {} ({})",
+                    pinned.timestamp, pinned.git_sha
+                );
+                if lines.is_empty() {
+                    let _ = writeln!(text, "  {name}: equals {at}");
+                } else {
+                    let _ = writeln!(text, "  {name}: {} key(s) differ from {at}:", lines.len());
+                    for line in &lines {
+                        let _ = writeln!(text, "    {line}");
+                    }
+                }
+                diffs.push(Some(lines));
+            }
         }
-        None => None,
-    };
-    for f in &failures {
-        let _ = writeln!(text, "  HARNESS FAILURE: {f}");
     }
-
-    Ok(BenchSummary {
-        stamp,
-        archive_dir,
-        trajectory_paths: [throughput_path, churn_path],
+    let mut summary = BenchSummary {
         harness_failures: failures,
-        gates,
-        dashboard_index,
+        diffs,
         text,
-    })
+    };
+    if !summary.matches_pins() {
+        let _ = writeln!(
+            summary.text,
+            "  to pin the new records, run `dnc bench` and commit the appended lines"
+        );
+    }
+    for f in &summary.harness_failures {
+        let _ = writeln!(summary.text, "  HARNESS FAILURE: {f}");
+    }
+    Ok(summary)
+}
+
+fn profile_one_liner(rows: &[ProfileRow]) -> String {
+    let cells: Vec<String> = rows
+        .iter()
+        .map(|r| match r.bound() {
+            Some(b) => format!("{} {:.4}", r.name, b.to_f64()),
+            None => format!("{} -", r.name),
+        })
+        .collect();
+    format!("profile: worst bounds {}", cells.join(", "))
 }
 
 fn throughput_one_liner(tp: &throughput::ThroughputReport) -> String {
-    let rates: Vec<String> = tp
+    let units: Vec<String> = tp
         .modes
         .iter()
-        .map(|mode| format!("{} {:.0}/s", mode.label, mode.admissions_per_sec))
+        .map(|mode| format!("{} {} units", mode.label, mode.units))
         .collect();
     format!(
-        "throughput: {}; speedup {:.2}x; {} mismatch(es)",
-        rates.join(", "),
-        tp.speedup(),
+        "throughput: {}; {} mismatch(es)",
+        units.join(", "),
         tp.mismatches.len()
     )
 }
 
 fn socket_one_liner(sock: &socket::SocketReport) -> String {
-    let rates: Vec<String> = sock
+    let acked: Vec<String> = sock
         .modes
         .iter()
-        .map(|m| format!("{} {:.0} acks/s", m.label, m.acks_per_sec))
+        .map(|m| format!("{} {} acked", m.label, m.acked))
         .collect();
     format!(
-        "socket: {}; group-commit speedup {:.2}x; {} mismatch(es)",
-        rates.join(", "),
-        sock.speedup(),
+        "socket: {}; {} mismatch(es)",
+        acked.join(", "),
         sock.mismatches.len()
     )
-}
-
-fn profile_one_liner(prof: &profile::ProfileReport) -> String {
-    let cells: Vec<String> = prof
-        .algos
-        .iter()
-        .map(|a| format!("{} {}us", a.label, a.wall_us))
-        .collect();
-    format!("profile: {}", cells.join(", "))
 }
 
 #[cfg(test)]
@@ -557,82 +421,80 @@ mod tests {
         }
     }
 
+    /// Memos and telemetry are process-global, so a second in-process
+    /// run sees warm memos (and, in a telemetry build, other tests'
+    /// counters): this test never compares two runs' values. The
+    /// `bench_cli` tests compare runs, each in a fresh process.
     #[test]
-    fn quick_run_appends_valid_records_and_archives() {
+    fn record_holds_only_exact_values() {
         let root = dnc_service::fs::ScratchDir::new("runner");
         let opts = BenchOptions {
-            quick: true,
-            seed: 3,
-            out_dir: root.join("results"),
             bench_dir: root.to_path_buf(),
             stamp: Some(test_stamp()),
-            dashboard: Some(root.join("dashboard")),
-            ..BenchOptions::default()
         };
         let summary = run_bench(&opts).unwrap();
         assert!(summary.sound(), "{:?}", summary.harness_failures);
-        assert!(!summary.regressed(), "first run has nothing to gate");
-        for path in &summary.trajectory_paths {
-            let text = std::fs::read_to_string(path).unwrap();
-            dnc_telemetry::schema::validate_bench(&text).unwrap();
+        assert_eq!(
+            summary.diffs,
+            [None, None],
+            "a fresh directory pins nothing"
+        );
+        assert!(!summary.matches_pins());
+        assert!(summary.text.contains("run `dnc bench` and commit"));
+
+        let tp = &load_trajectory(&root.join("BENCH_throughput.json")).unwrap()[0];
+        let churn = &load_trajectory(&root.join("BENCH_churn.json")).unwrap()[0];
+        for record in [tp, churn] {
+            for key in record.metrics.keys().chain(record.counters.keys()) {
+                for timing in ["wall_us", "per_sec", "speedup"] {
+                    assert!(!key.contains(timing), "{key} is not an exact value");
+                }
+            }
+            assert_eq!(record.knobs["seed"], "1");
         }
-        // The record carries each throughput mode's computed pairing
-        // units, and incremental re-certification computes strictly
-        // fewer than from-scratch. The derived `cache.hit_rate` is
-        // present whenever counters are compiled in (the telemetry
-        // feature — CI's bench-record job).
-        let records = load_trajectory(&summary.trajectory_paths[0]).unwrap();
-        let units = |mode: &str| {
-            records[0]
-                .metrics
-                .get(&format!("throughput.{mode}.units"))
-                .copied()
-                .unwrap_or(0.0)
-        };
+        for algo in ["service-curve", "decomposed", "integrated", "fifo-family"] {
+            assert!(
+                tp.metrics.contains_key(&format!("profile.{algo}.bound")),
+                "{algo}"
+            );
+        }
+        for stage in ["profile", "throughput"] {
+            assert!(
+                tp.metrics[&format!("{stage}.intern_added")] > 0.0,
+                "{stage}"
+            );
+        }
+        let socket: Vec<&String> = tp
+            .metrics
+            .keys()
+            .filter(|k| k.starts_with("socket."))
+            .collect();
+        assert_eq!(
+            socket,
+            [
+                "socket.grouped.acked",
+                "socket.mismatches",
+                "socket.per_op.acked"
+            ]
+        );
+        assert_eq!(tp.metrics["socket.per_op.acked"], 48.0);
+        assert_eq!(tp.metrics["socket.grouped.acked"], 48.0);
+        // Incremental re-certification computes strictly fewer pairing
+        // units than from scratch.
+        let units = |mode: &str| tp.metrics[&format!("throughput.{mode}.units")];
         assert!(
             units("incremental") < units("scratch-seq"),
             "incremental {} units, scratch-seq {}",
             units("incremental"),
             units("scratch-seq")
         );
-        if cfg!(feature = "telemetry") {
-            let rate = records[0]
-                .metrics
-                .get("cache.hit_rate")
-                .copied()
-                .unwrap_or(0.0);
-            assert!(rate > 0.0, "cache.hit_rate missing or zero: {rate}");
+        assert!(churn.metrics.contains_key("churn.intern_added"));
+        if dnc_telemetry::enabled() {
+            assert!(tp
+                .counters
+                .keys()
+                .any(|k| k.starts_with("profile/integrated/")));
+            assert!(!tp.counters.keys().any(|k| k.starts_with("socket")));
         }
-        // All four harness docs archived under runs/<slug>/.
-        let slug_dir = &summary.archive_dir;
-        for name in ["throughput", "profile", "socket", "chaos", "churn"] {
-            assert!(
-                slug_dir.join(format!("metrics-{name}.json")).exists(),
-                "missing archived metrics-{name}.json"
-            );
-        }
-        assert!(summary.dashboard_index.as_ref().unwrap().exists());
-
-        // A second run appends (not overwrites) and gates quietly
-        // against the identical first record.
-        let summary2 = run_bench(&opts).unwrap();
-        let records = load_trajectory(&summary2.trajectory_paths[0]).unwrap();
-        assert_eq!(records.len(), 2, "append-only trajectory");
-        assert_eq!(summary2.gates[0].1.priors, 1);
-    }
-
-    #[test]
-    fn quick_configs_shrink_every_harness() {
-        let opts = BenchOptions {
-            quick: true,
-            seed: 9,
-            ..BenchOptions::default()
-        };
-        assert!(throughput_config(&opts).ops < throughput::ThroughputConfig::default().ops);
-        assert!(chaos_config(&opts).scenarios < chaos::ChaosConfig::default().scenarios);
-        assert!(churn_config(&opts).seqs < churn::ChurnConfig::default().seqs);
-        assert!(profile_config(&opts).n < profile::ProfileConfig::default().n);
-        assert_eq!(throughput_config(&opts).seed, 9);
-        assert_eq!(chaos_config(&opts).seed, 9);
     }
 }

@@ -1,28 +1,26 @@
-//! The `dnc-bench/v1` perf-trajectory layer.
+//! The `dnc-bench/v1` record format and its equality gate. This module
+//! is the format's only writer ([`record_line`]) and only reader
+//! ([`parse_trajectory`]).
 //!
-//! `dnc bench` appends one record per run to
-//! the repo-root trajectory files `BENCH_throughput.json` and
-//! `BENCH_churn.json`. The files are JSON Lines — one self-contained
-//! record object per line — because append-only is the whole contract:
-//! a run never rewrites history, a truncated tail line (crash mid-append)
-//! is detected by the validator without poisoning earlier records, and
-//! `git diff` shows exactly one added line per run.
+//! `dnc bench` appends one record per run to each of the repo-root
+//! files `BENCH_throughput.json` and `BENCH_churn.json`. The files are
+//! JSON Lines — one self-contained record object per line — because
+//! append-only is the whole contract: a run never rewrites history, a
+//! truncated tail line (crash mid-append) fails the parse with its line
+//! number, and `git diff` shows exactly one added line per run.
 //!
 //! A record carries the run identity (timestamp, git SHA, toolchain),
-//! the knob settings that produced it, and two flat maps: `metrics`
-//! (per-harness measurements) and `counters` (telemetry totals). The
-//! identity fields flow in through [`Stamp`], never from ad-hoc clock
-//! reads at the emit site: [`resolve_stamp`] is the single wall-clock
-//! read, and callers that need byte-identical records (tests, replays)
-//! inject a fixed `Stamp` through `BenchOptions::stamp` instead, so
-//! the `det-wall-clock` deepcheck lint has a single site to reason
-//! about.
+//! the knob settings that produced it, and two flat maps of exact
+//! values: `metrics` (bounds and harness counts) and `counters`
+//! (telemetry work counters). The identity fields flow in through
+//! [`Stamp`], never from ad-hoc clock reads at the emit site:
+//! [`resolve_stamp`] is the single wall-clock read, and tests inject a
+//! fixed `Stamp` through `BenchOptions::stamp` instead, so the
+//! `det-wall-clock` deepcheck lint has a single site to reason about.
 //!
-//! On top of the parsed trajectory sits the regression gate: for every
-//! metric of the latest record it takes the median of up to the last K
-//! prior samples as the baseline, allows a configurable percentage band
-//! around it, and classifies the metric by name into lower-is-better,
-//! higher-is-better, or informational (see [`metric_direction`]).
+//! The gate is equality: a new record must carry exactly the metrics
+//! and counters of its [`pinned_record`], the latest earlier record of
+//! the same knobs; [`record_diff`] names every key that differs.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -31,7 +29,10 @@ use std::path::Path;
 
 use dnc_telemetry::export::escape_json;
 use dnc_telemetry::json::{self, Value};
-use dnc_telemetry::schema;
+
+/// Schema identifier of the records in the repo-root `BENCH_*.json`
+/// files that `dnc bench` appends.
+pub const BENCH_SCHEMA: &str = "dnc-bench/v1";
 
 /// Run identity written into every record: the injected clock source.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,31 +45,10 @@ pub struct Stamp {
     pub toolchain: String,
 }
 
-impl Stamp {
-    /// Directory-name-safe `<sha>-<ts>` slug for archiving a run's raw
-    /// metrics under `results/runs/`.
-    pub fn run_slug(&self) -> String {
-        let mut slug = String::new();
-        for c in self
-            .git_sha
-            .chars()
-            .chain("-".chars())
-            .chain(self.timestamp.chars())
-        {
-            if c.is_ascii_alphanumeric() || c == '-' {
-                slug.push(c);
-            } else {
-                slug.push('-');
-            }
-        }
-        slug
-    }
-}
-
 /// Resolve the ambient run stamp: the wall clock, `git rev-parse`, and
 /// `rustc --version`. This is the one sanctioned wall-clock read of the
-/// bench recorder — every timestamp in a record or archive path derives
-/// from the `Stamp` it returns.
+/// bench recorder — every timestamp in a record derives from the
+/// `Stamp` it returns.
 pub fn resolve_stamp() -> Stamp {
     let secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -92,8 +72,9 @@ pub fn resolve_stamp() -> Stamp {
 
 /// Run `f` and return its result plus elapsed wall-clock microseconds.
 /// The harnesses' single sanctioned stopwatch: here wall time *is* the
-/// measurement (it lands in the trajectory as `*.wall_us`), not state
-/// a deterministic replay must reproduce — see DESIGN §15.2.
+/// measurement (the `dnc profile`, `throughput` and `socket` reports
+/// print it), not state a deterministic replay must reproduce. No bench
+/// record carries it — see DESIGN §15.2.
 pub fn time_micros<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let started = std::time::Instant::now();
     let out = f();
@@ -132,11 +113,11 @@ pub struct BenchRecord {
     pub git_sha: String,
     /// Toolchain version line.
     pub toolchain: String,
-    /// Knob settings as strings (seed, quick, harness configs).
+    /// Knob settings as strings (seed, harness configs, telemetry).
     pub knobs: BTreeMap<String, String>,
-    /// Per-harness measurements, flat `harness.qualifier` names.
+    /// Exact per-stage values (bounds, counts), flat `stage.qualifier` names.
     pub metrics: BTreeMap<String, f64>,
-    /// Telemetry counter/span totals captured around the harnesses.
+    /// Telemetry counters and span counts, `stage/` namespaced.
     pub counters: BTreeMap<String, u64>,
 }
 
@@ -150,11 +131,22 @@ impl BenchRecord {
             ..BenchRecord::default()
         }
     }
+
+    /// Record an exact count under `metrics`.
+    pub fn count(&mut self, key: impl Into<String>, n: u64) {
+        self.metrics.insert(key.into(), n as f64);
+    }
+
+    /// Record a bound under `metrics`, as its nearest `f64`.
+    pub fn bound(&mut self, key: impl Into<String>, bound: dnc_num::Rat) {
+        self.metrics.insert(key.into(), bound.to_f64());
+    }
 }
 
 /// JSON for one metric value: integers render without a fraction,
-/// non-finite values (which no harness should produce) clamp to 0 so
-/// the record always validates.
+/// others as the shortest decimal that parses back to the same `f64`,
+/// and non-finite values (which no harness should produce) clamp to 0
+/// so the record always parses.
 fn metric_number(v: f64) -> String {
     if !v.is_finite() {
         return "0".to_string();
@@ -171,7 +163,7 @@ fn metric_number(v: f64) -> String {
 /// produce byte-identical lines.
 pub fn record_line(record: &BenchRecord) -> String {
     let mut s = String::new();
-    let _ = write!(s, "{{\"schema\": \"{}\"", schema::BENCH_SCHEMA);
+    let _ = write!(s, "{{\"schema\": \"{BENCH_SCHEMA}\"");
     for (key, value) in [
         ("timestamp", &record.timestamp),
         ("git_sha", &record.git_sha),
@@ -217,13 +209,8 @@ pub fn parse_trajectory(input: &str) -> Result<Vec<BenchRecord>, String> {
         let at = |e: String| format!("line {}: {e}", i + 1);
         let doc = json::parse(line).map_err(|e| at(e.to_string()))?;
         match doc.get("schema").and_then(Value::as_str) {
-            Some(s) if s == schema::BENCH_SCHEMA => {}
-            Some(s) => {
-                return Err(at(format!(
-                    "schema is `{s}`, expected `{}`",
-                    schema::BENCH_SCHEMA
-                )))
-            }
+            Some(s) if s == BENCH_SCHEMA => {}
+            Some(s) => return Err(at(format!("schema is `{s}`, expected `{BENCH_SCHEMA}`"))),
             None => return Err(at("missing string field `schema`".to_string())),
         }
         let mut record = BenchRecord {
@@ -293,212 +280,46 @@ pub fn load_trajectory(path: &Path) -> Result<Vec<BenchRecord>, String> {
     }
 }
 
-/// Regression-gate knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct GateConfig {
-    /// How many prior records the baseline median is taken over.
-    pub window: usize,
-    /// Noise band around the baseline, in percent.
-    pub threshold_pct: u32,
+/// The pinned record of a trajectory: the latest record before the last
+/// one whose knobs equal the last one's. `None` when the last record's
+/// configuration was never recorded before.
+pub fn pinned_record(records: &[BenchRecord]) -> Option<&BenchRecord> {
+    let (latest, prior) = records.split_last()?;
+    prior.iter().rev().find(|r| r.knobs == latest.knobs)
 }
 
-impl Default for GateConfig {
-    fn default() -> GateConfig {
-        GateConfig {
-            window: 5,
-            threshold_pct: 25,
+/// One line per key of `metrics` or `counters` whose value differs
+/// between `pinned` and `latest`: the key, the pinned value and the new
+/// one (`absent` when a side lacks the key). Values compare as the
+/// record prints them, so "equal" means "the same text in the file".
+/// Stamp fields are not compared. Empty when the records agree.
+pub fn record_diff(pinned: &BenchRecord, latest: &BenchRecord) -> Vec<String> {
+    fn diff<V>(
+        lines: &mut Vec<String>,
+        old: &BTreeMap<String, V>,
+        new: &BTreeMap<String, V>,
+        show: impl Fn(&V) -> String,
+    ) {
+        let keys: std::collections::BTreeSet<&String> = old.keys().chain(new.keys()).collect();
+        for key in keys {
+            let text = |map: &BTreeMap<String, V>| map.get(key).map_or("absent".to_string(), &show);
+            let (was, now) = (text(old), text(new));
+            if was != now {
+                lines.push(format!("{key}: pinned {was}, new {now}"));
+            }
         }
     }
-}
-
-/// Which way a metric is allowed to drift.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// Growth past the band is a regression (wall times, violations).
-    LowerIsBetter,
-    /// Shrinkage past the band is a regression (rates, speedups).
-    HigherIsBetter,
-    /// Tracked but never gated (commit counts, scenario totals).
-    Informational,
-}
-
-/// Classify a metric by name. The table is deliberately substring-based
-/// so new harness metrics inherit a sensible direction from their
-/// naming convention without touching the gate.
-pub fn metric_direction(name: &str) -> Direction {
-    const LOWER: &[&str] = &["wall_us", "violations", "mismatches", "failures"];
-    const HIGHER: &[&str] = &["admissions_per_sec", "speedup", "hit_rate"];
-    if LOWER.iter().any(|p| name.contains(p)) {
-        Direction::LowerIsBetter
-    } else if HIGHER.iter().any(|p| name.contains(p)) {
-        Direction::HigherIsBetter
-    } else {
-        Direction::Informational
-    }
-}
-
-/// One metric's gate verdict.
-#[derive(Clone, Debug)]
-pub struct MetricVerdict {
-    /// Metric name.
-    pub metric: String,
-    /// Median of the prior window.
-    pub baseline: f64,
-    /// The latest record's value.
-    pub latest: f64,
-    /// Signed drift from the baseline, in percent (0 when the baseline
-    /// is 0).
-    pub delta_pct: f64,
-    /// Gating direction the metric was classified into.
-    pub direction: Direction,
-    /// True when the drift left the noise band against the direction.
-    pub regressed: bool,
-}
-
-/// The gate's result over one trajectory.
-#[derive(Clone, Debug, Default)]
-pub struct GateReport {
-    /// Prior records the baseline could draw on (0 = nothing to gate).
-    pub priors: usize,
-    /// Band width used, in percent.
-    pub threshold_pct: u32,
-    /// One verdict per latest-record metric with at least one prior
-    /// sample.
-    pub verdicts: Vec<MetricVerdict>,
-}
-
-impl GateReport {
-    /// Verdicts that tripped the gate.
-    pub fn regressions(&self) -> Vec<&MetricVerdict> {
-        self.verdicts.iter().filter(|v| v.regressed).collect()
-    }
-
-    /// True when any gated metric left its band.
-    pub fn regressed(&self) -> bool {
-        self.verdicts.iter().any(|v| v.regressed)
-    }
-}
-
-/// Median of a non-empty sample (mean of the middle two when even).
-fn median(values: &mut [f64]) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = values.len();
-    if n % 2 == 1 {
-        values[n / 2]
-    } else {
-        (values[n / 2 - 1] + values[n / 2]) / 2.0
-    }
-}
-
-/// Absolute slack added to every band so a 0-valued baseline still
-/// gates cleanly: `violations` at 0 regresses on the first real hit,
-/// not on floating-point dust.
-const ABS_SLACK: f64 = 1e-9;
-
-/// Gate the latest record of a trajectory against the median of up to
-/// `cfg.window` prior records. With no prior records (first run ever)
-/// nothing is gated.
-pub fn evaluate_gate(records: &[BenchRecord], cfg: &GateConfig) -> GateReport {
-    let Some((latest, prior)) = records.split_last() else {
-        return GateReport {
-            threshold_pct: cfg.threshold_pct,
-            ..GateReport::default()
-        };
-    };
-    let window = &prior[prior.len().saturating_sub(cfg.window)..];
-    let mut verdicts = Vec::new();
-    for (name, &value) in &latest.metrics {
-        let mut history: Vec<f64> = window
-            .iter()
-            .filter_map(|r| r.metrics.get(name).copied())
-            .collect();
-        if history.is_empty() {
-            continue; // new metric: nothing to compare against yet
-        }
-        let baseline = median(&mut history);
-        let band = baseline.abs() * f64::from(cfg.threshold_pct) / 100.0 + ABS_SLACK;
-        let delta = value - baseline;
-        let direction = metric_direction(name);
-        let regressed = match direction {
-            Direction::LowerIsBetter => delta > band,
-            Direction::HigherIsBetter => -delta > band,
-            Direction::Informational => false,
-        };
-        let delta_pct = if baseline.abs() > ABS_SLACK {
-            delta / baseline * 100.0
-        } else {
-            0.0
-        };
-        verdicts.push(MetricVerdict {
-            metric: name.clone(),
-            baseline,
-            latest: value,
-            delta_pct,
-            direction,
-            regressed,
-        });
-    }
-    GateReport {
-        priors: window.len(),
-        threshold_pct: cfg.threshold_pct,
-        verdicts,
-    }
-}
-
-fn gate_number(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 9.0e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.3}")
-    }
-}
-
-/// Render a gate report as a fixed-width diff table.
-pub fn render_gate_table(name: &str, report: &GateReport) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "gate[{name}]: band ±{}% around median of last {} prior run(s)",
-        report.threshold_pct, report.priors
+    let mut lines = Vec::new();
+    diff(&mut lines, &pinned.metrics, &latest.metrics, |v| {
+        metric_number(*v)
+    });
+    diff(
+        &mut lines,
+        &pinned.counters,
+        &latest.counters,
+        u64::to_string,
     );
-    if report.priors == 0 {
-        let _ = writeln!(s, "  no prior records — nothing gated");
-        return s;
-    }
-    let _ = writeln!(
-        s,
-        "  {:<46} {:>14} {:>14} {:>9}  status",
-        "metric", "baseline", "latest", "delta"
-    );
-    for v in &report.verdicts {
-        let status = if v.regressed {
-            "REGRESSED"
-        } else if v.direction == Direction::Informational {
-            "info"
-        } else {
-            "ok"
-        };
-        let _ = writeln!(
-            s,
-            "  {:<46} {:>14} {:>14} {:>+8.1}%  {}",
-            v.metric,
-            gate_number(v.baseline),
-            gate_number(v.latest),
-            v.delta_pct,
-            status
-        );
-    }
-    let regressions = report.regressions();
-    if regressions.is_empty() {
-        let _ = writeln!(s, "  all gated metrics within band");
-    } else {
-        let _ = writeln!(
-            s,
-            "  REGRESSED: {} metric(s) out of band",
-            regressions.len()
-        );
-    }
-    s
+    lines
 }
 
 #[cfg(test)]
@@ -526,13 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn stamp_slug_is_directory_safe() {
-        let stamp = Stamp {
-            timestamp: "2001-01-01T00:00:00Z".to_string(),
-            git_sha: "feedface".to_string(),
-            toolchain: "rustc 0.0-test".to_string(),
-        };
-        assert_eq!(stamp.run_slug(), "feedface-2001-01-01T00-00-00Z");
+    fn ambient_stamp_is_complete() {
         let ambient = resolve_stamp();
         assert!(ambient.timestamp.ends_with('Z'), "{ambient:?}");
         assert!(!ambient.git_sha.is_empty() && !ambient.toolchain.is_empty());
@@ -540,13 +355,32 @@ mod tests {
 
     #[test]
     fn record_round_trips_and_validates() {
-        let rec = record(&[("throughput.speedup", 1.75), ("x.wall_us", 1200.0)]);
+        let rec = record(&[("chaos.scenarios", 4.0), ("x.bound", 1200.5)]);
         let line = record_line(&rec);
-        dnc_telemetry::schema::validate_bench_record(&line).unwrap();
         let parsed = parse_trajectory(&line).unwrap();
         assert_eq!(parsed, vec![rec.clone()]);
         // byte-identical re-serialization: deterministic replay contract
         assert_eq!(record_line(&parsed[0]), line);
+    }
+
+    #[test]
+    fn bound_survives_the_record_bit_for_bit() {
+        // The worst Integrated and FIFO-family bounds of `dnc tandem 6
+        // 3/5`, and values whose shortest decimal needs 17 digits.
+        let bounds = [
+            dnc_num::Rat::new(876_101, 34_300).to_f64(),
+            dnc_num::Rat::new(23_186_143, 935_000).to_f64(),
+            dnc_num::Rat::new(1, 3).to_f64(),
+            0.1 + 0.2,
+            f64::MIN_POSITIVE,
+            9.0e15 + 2.0,
+        ];
+        for b in bounds {
+            let line = record_line(&record(&[("profile.integrated.bound", b)]));
+            let parsed = parse_trajectory(&line).unwrap();
+            let back = parsed[0].metrics["profile.integrated.bound"];
+            assert_eq!(back.to_bits(), b.to_bits(), "{b} came back as {back}");
+        }
     }
 
     #[test]
@@ -558,88 +392,105 @@ mod tests {
         append_record(&path, &rec).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
-        dnc_telemetry::schema::validate_bench(&text).unwrap();
         assert_eq!(load_trajectory(&path).unwrap().len(), 2);
         drop(dir);
         assert_eq!(load_trajectory(&path).unwrap().len(), 0, "missing = empty");
     }
 
     #[test]
+    fn bench_record_round_trips() {
+        // A hand-written record: key order and spacing unlike `record_line`.
+        let rec = concat!(
+            r#"{"counters": {"curve.conv": 42}, "metrics": {"x.bound": 25.5}, "#,
+            r#""knobs": {"seed": "1", "telemetry": "off"}, "toolchain": "rustc 1.75.0", "#,
+            r#""git_sha": "abc1234", "timestamp": "2026-08-08T00:00:00Z", "#,
+            r#""schema": "dnc-bench/v1"}"#,
+        );
+        let parsed = parse_trajectory(rec).unwrap();
+        assert_eq!(parsed.len(), 1);
+        let r = &parsed[0];
+        assert_eq!(r.timestamp, "2026-08-08T00:00:00Z");
+        assert_eq!(r.git_sha, "abc1234");
+        assert_eq!(r.toolchain, "rustc 1.75.0");
+        assert_eq!(r.knobs["telemetry"], "off");
+        assert_eq!(r.metrics["x.bound"], 25.5);
+        assert_eq!(r.counters["curve.conv"], 42);
+        let trajectory = format!("{rec}\n\n{}\n", record_line(r));
+        assert_eq!(
+            parse_trajectory(&trajectory).unwrap(),
+            [r.clone(), r.clone()]
+        );
+    }
+
+    #[test]
     fn parse_rejects_malformed_lines_by_number() {
         let good = record_line(&record(&[("m", 1.0)]));
-        let err = parse_trajectory(&format!("{good}\n{{\"schema\": \"nope\"}}\n")).unwrap_err();
+        let line2 = |bad: &str| parse_trajectory(&format!("{good}\n{bad}\n")).unwrap_err();
+        let err = line2("{\"schema\": \"nope\"}");
         assert!(err.starts_with("line 2"), "{err}");
+        let torn = &good[..good.len() / 2];
+        assert!(line2(torn).starts_with("line 2"));
     }
 
     #[test]
-    fn gate_flat_trajectory_is_quiet() {
-        let recs: Vec<BenchRecord> = (0..6).map(|_| record(&[("a.wall_us", 100.0)])).collect();
-        let report = evaluate_gate(&recs, &GateConfig::default());
-        assert_eq!(report.priors, 5);
-        assert!(!report.regressed(), "{:?}", report.verdicts);
-    }
-
-    #[test]
-    fn gate_tolerates_in_band_noise() {
-        let mut recs: Vec<BenchRecord> = [100.0, 110.0, 92.0, 105.0, 97.0]
-            .iter()
-            .map(|&v| record(&[("a.wall_us", v)]))
-            .collect();
-        recs.push(record(&[("a.wall_us", 118.0)])); // +18% of median 100
-        let report = evaluate_gate(&recs, &GateConfig::default());
-        assert!(!report.regressed(), "{:?}", report.verdicts);
-    }
-
-    #[test]
-    fn gate_flags_genuine_regressions_both_directions() {
-        let mut recs: Vec<BenchRecord> = (0..4)
-            .map(|_| record(&[("a.wall_us", 100.0), ("b.admissions_per_sec", 1000.0)]))
-            .collect();
-        recs.push(record(&[
-            ("a.wall_us", 210.0),
-            ("b.admissions_per_sec", 400.0),
-        ]));
-        let report = evaluate_gate(&recs, &GateConfig::default());
-        let regressed: Vec<&str> = report
-            .regressions()
-            .iter()
-            .map(|v| v.metric.as_str())
-            .collect();
-        assert_eq!(regressed, ["a.wall_us", "b.admissions_per_sec"]);
-        let table = render_gate_table("throughput", &report);
-        assert!(table.contains("REGRESSED: 2 metric(s)"), "{table}");
-    }
-
-    #[test]
-    fn gate_zero_baseline_counts_trip_on_first_hit() {
-        let mut recs: Vec<BenchRecord> = (0..3).map(|_| record(&[("violations", 0.0)])).collect();
-        recs.push(record(&[("violations", 1.0)]));
-        let report = evaluate_gate(&recs, &GateConfig::default());
-        assert!(report.regressed());
-    }
-
-    #[test]
-    fn gate_first_run_and_informational_never_trip() {
-        let report = evaluate_gate(&[record(&[("a.wall_us", 9e9)])], &GateConfig::default());
-        assert_eq!(report.priors, 0);
-        assert!(!report.regressed());
-        let recs = vec![record(&[("commits", 100.0)]), record(&[("commits", 1.0)])];
-        let report = evaluate_gate(&recs, &GateConfig::default());
-        assert!(!report.regressed(), "informational metrics never gate");
-        assert_eq!(report.verdicts.len(), 1);
-        assert_eq!(report.verdicts[0].direction, Direction::Informational);
-    }
-
-    #[test]
-    fn direction_table_covers_harness_metrics() {
-        assert_eq!(
-            metric_direction("throughput.incremental.wall_us"),
-            Direction::LowerIsBetter
+    fn parse_rejects_wrong_schema_and_shapes() {
+        let good = record_line(&record(&[("m", 1.0)]));
+        let line2 = |bad: &str| parse_trajectory(&format!("{good}\n{bad}\n")).unwrap_err();
+        let err = line2("{\"schema\": 1}");
+        assert!(err.starts_with("line 2") && err.contains("schema"), "{err}");
+        let wrong_tag = good.replace(BENCH_SCHEMA, "dnc-bench/v0");
+        let err = line2(&wrong_tag);
+        assert!(
+            err.starts_with("line 2") && err.contains("dnc-bench/v0"),
+            "{err}"
         );
-        assert_eq!(
-            metric_direction("throughput.speedup"),
-            Direction::HigherIsBetter
+        let text_metric = good.replace("\"m\": 1", "\"m\": \"oops\"");
+        let err = line2(&text_metric);
+        assert!(
+            err.starts_with("line 2") && err.contains("metrics.m"),
+            "{err}"
         );
-        assert_eq!(metric_direction("churn.commits"), Direction::Informational);
+        let number_knob = good.replace("\"seed\": \"1\"", "\"seed\": 1");
+        let err = line2(&number_knob);
+        assert!(
+            err.starts_with("line 2") && err.contains("knobs.seed"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn pinned_record_is_the_latest_earlier_one_with_equal_knobs() {
+        let mut other = record(&[("m", 9.0)]);
+        other
+            .knobs
+            .insert("telemetry".to_string(), "on".to_string());
+        let records = [record(&[("m", 1.0)]), record(&[("m", 2.0)]), other];
+        assert_eq!(pinned_record(&records[..1]), None, "nothing before it");
+        assert_eq!(pinned_record(&records[..2]), Some(&records[0]));
+        assert_eq!(
+            pinned_record(&records),
+            None,
+            "no earlier record has its knobs"
+        );
+        let again = [records[0].clone(), records[2].clone(), records[1].clone()];
+        assert_eq!(pinned_record(&again), Some(&records[0]));
+    }
+
+    #[test]
+    fn diff_names_every_changed_or_missing_key() {
+        let pinned = record(&[("a.bound", 10.5), ("b.count", 3.0)]);
+        assert!(record_diff(&pinned, &pinned).is_empty());
+        let mut new = record(&[("a.bound", 10.25), ("c.count", 1.0)]);
+        new.counters.insert("curve.conv".to_string(), 8);
+        new.timestamp = "2026-10-19T00:00:00Z".to_string();
+        assert_eq!(
+            record_diff(&pinned, &new),
+            [
+                "a.bound: pinned 10.5, new 10.25",
+                "b.count: pinned 3, new absent",
+                "c.count: pinned absent, new 1",
+                "curve.conv: pinned 7, new 8",
+            ]
+        );
     }
 }

@@ -9,6 +9,7 @@
 //! whole CLI is testable without spawning processes.
 
 use crate::parse::{parse_spec, BuiltNetwork};
+use dnc_bench::profile::{merge_namespaced, run_analysis, run_one, ProfileRow};
 use dnc_bench::{chaos, churn, socket, throughput, torture, HarnessOutput};
 use dnc_core::decomposed::{backlog_bounds, Decomposed};
 use dnc_core::fifo_family::FifoFamily;
@@ -26,7 +27,6 @@ use dnc_traffic::SourceModel;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// CLI failure: a message and a suggested exit code.
 #[derive(Debug)]
@@ -45,7 +45,8 @@ pub const EXIT_USAGE: i32 = dnc_bench::exit::USAGE;
 /// Exit code for "no valid bound within budget" (time-stopping
 /// divergence or guard exhaustion after the full degradation chain).
 pub const EXIT_NO_BOUND: i32 = dnc_bench::exit::NO_BOUND;
-/// Exit code for a tripped perf-regression gate (`bench --gate`).
+/// Exit code for a bench record that differs from its pinned record
+/// (`bench --gate`).
 pub const EXIT_REGRESSION: i32 = dnc_bench::exit::REGRESSION;
 
 impl CliError {
@@ -90,12 +91,10 @@ enum Kind {
     Switch,
     /// An unsigned integer no smaller than the bound.
     Int(u64),
-    /// An exact rational: `3`, `1/4`, `0.25`.
-    Num,
     /// Free text — a path, an address, a name — shown as the placeholder.
     Text(&'static str),
 }
-use Kind::{Int, Num, Switch, Text};
+use Kind::{Int, Switch, Text};
 
 impl Kind {
     /// Whether `value` is a valid value of this kind.
@@ -103,7 +102,6 @@ impl Kind {
         match self {
             Switch => false,
             Int(min) => value.parse::<u64>().is_ok_and(|n| n >= min),
-            Num => value.parse::<Rat>().is_ok(),
             Text(_) => true,
         }
     }
@@ -113,7 +111,6 @@ impl Kind {
         match self {
             Int(0) => "an integer".to_string(),
             Int(min) => format!("an integer >= {min}"),
-            Num => "a number (3, 1/4, 0.25)".to_string(),
             Switch | Text(_) => "a value".to_string(),
         }
     }
@@ -143,7 +140,6 @@ impl Flag {
         match self.kind {
             Switch => self.name.to_string(),
             Int(_) => format!("{} N", self.name),
-            Num => format!("{} X", self.name),
             Text(p) => format!("{} {p}", self.name),
         }
     }
@@ -274,39 +270,34 @@ static COMMANDS: &[Command] = &[
         about: "disk-fault torture sweep: EIO/ENOSPC/short-write/crash at every storage\n\
                 failpoint, then fail-stop recovery (exit 1: a lost ack or divergence)" },
     Command { name: "socket", synopsis: "",
-        run: Run::Harness(|a| Ok(socket::harness(&socket_config(a), a.get("--check")))),
+        run: Run::Harness(|a| Ok(socket::harness(&socket_config(a), a.switch("--check")))),
         flags: &[
             flag("--clients", Int(1), "8", "concurrent pipelining clients"),
             flag("--ops", Int(2), "12", "requests per client"),
             flag("--batch", Int(2), "8", "group-commit batch"),
             SEED,
-            flag("--check", Num, "", "require group commit to reach X times per-op acks/sec"),
+            flag("--check", Switch, "", "require group commit to write fewer journal commits\nthan per-op fsync"),
             OUT_DIR],
-        about: "acks/sec of group commit vs per-op fsync over the TCP front end (exit\n\
-                1: a soundness mismatch or a failed --check)" },
+        about: "journal commits and acks/sec of group commit vs per-op fsync over the\n\
+                TCP front end (exit 1: a soundness mismatch or a failed --check)" },
     Command { name: "throughput", synopsis: "",
         run: Run::Harness(|a| Ok(throughput::harness(&throughput_config(a), a.switch("--check")))),
         flags: &[
             flag("--n", Int(2), "10", "tandem size"),
             flag("--ops", Int(0), "48", "requests"),
             SEED,
-            flag("--check", Switch, "", "require incremental to reach sequential admissions/sec"),
+            flag("--check", Switch, "", "require incremental to compute fewer pairing units\nthan scratch-seq"),
             OUT_DIR],
         about: "admissions/sec of from-scratch and incremental certification (exit 1: a\n\
                 cross-mode mismatch or a failed --check)" },
     Command { name: "bench", synopsis: "", run: Run::Report(bench), flags: &[
-            flag("--quick", Switch, "", "CI-sized harness configs"),
-            SEED,
-            flag("--out-dir", Text("DIR"), "results", "root of the raw-metrics archives"),
-            flag("--bench-dir", Text("DIR"), ".", "directory of the BENCH_*.json trajectories"),
-            flag("--gate", Switch, "", "exit 4 when a gated metric regressed"),
-            flag("--window", Int(0), "5", "gate baseline: median of the last K runs"),
-            flag("--threshold", Int(0), "25", "gate band around the baseline, in percent"),
-            flag("--dashboard", Text("DIR"), "", "render the static dashboard here")],
-        about: "record one perf-trajectory run: throughput, profile, socket, chaos and\n\
-                churn with pinned seeds; raw metrics archived under\n\
-                <out-dir>/runs/<sha>-<ts>/, one dnc-bench/v1 record appended to each\n\
-                of BENCH_throughput.json and BENCH_churn.json" },
+            flag("--bench-dir", Text("DIR"), ".", "directory of the BENCH_*.json records"),
+            flag("--gate", Switch, "", "exit 4 unless each new record equals its pinned record")],
+        about: "append the exact perf record of one fixed configuration (bounds, work\n\
+                counters and soundness counts of the profile, throughput, socket, chaos\n\
+                and churn stages) as one dnc-bench/v1 line to each of\n\
+                BENCH_throughput.json and BENCH_churn.json, then compare it key by key\n\
+                with its pinned record (the latest earlier one with the same knobs)" },
     Command { name: "help", synopsis: "", flags: &[], run: Run::Report(|_| Ok(help_text())),
         about: "print this help (also --help, -h)" },
 ];
@@ -324,8 +315,9 @@ exit codes (uniform across commands):
   2  usage error — bad flags, unreadable files, malformed input
   3  no bound — the resilient chain ended at the explicit Unbounded tier
      (analyze --algo resilient/time-stopping)
-  4  regression — a gated perf metric left the trajectory noise band
-     (bench --gate)
+  4  regression — a bench record differs from its pinned record, or has
+     none (bench --gate); re-pin by running `dnc bench` and committing
+     the appended lines
 
 `--metrics` writes a dnc-metrics/v1 JSON document; `--trace` writes Chrome
 trace_event JSON (open in chrome://tracing or https://ui.perfetto.dev).
@@ -535,23 +527,16 @@ fn throughput_config(a: &Args) -> throughput::ThroughputConfig {
 
 fn bench_options(a: &Args) -> dnc_bench::runner::BenchOptions {
     dnc_bench::runner::BenchOptions {
-        quick: a.switch("--quick"),
-        seed: a.val("--seed"),
-        out_dir: a.val("--out-dir"),
         bench_dir: a.val("--bench-dir"),
-        gate: dnc_bench::trajectory::GateConfig {
-            window: a.val("--window"),
-            threshold_pct: u32::try_from(a.val::<u64>("--threshold")).unwrap_or(u32::MAX),
-        },
-        dashboard: a.get("--dashboard"),
         stamp: None,
     }
 }
 
-/// `dnc bench`: record one perf-trajectory run through
+/// `dnc bench`: record one exact perf record through
 /// [`dnc_bench::runner::run_bench`], then map the outcome onto the
-/// unified exit table: harness soundness failures exit 1, a tripped
-/// gate (only with `--gate`) exits 4.
+/// unified exit table: harness soundness failures exit 1; with
+/// `--gate`, a record that differs from its pinned record, or has none,
+/// exits 4.
 fn bench(a: &Args) -> Result<String, CliError> {
     let summary = dnc_bench::runner::run_bench(&bench_options(a))
         .map_err(|e| CliError::new(format!("bench: {e}")))?;
@@ -560,8 +545,11 @@ fn bench(a: &Args) -> Result<String, CliError> {
         let _ = writeln!(out, "bench: harness soundness failure");
         return Err(CliError::with_code(out, EXIT_VIOLATION));
     }
-    if a.switch("--gate") && summary.regressed() {
-        let _ = writeln!(out, "bench: regression gate tripped");
+    if a.switch("--gate") && !summary.matches_pins() {
+        let _ = writeln!(
+            out,
+            "bench: gate failed: a new record is not its pinned record"
+        );
         return Err(CliError::with_code(out, EXIT_REGRESSION));
     }
     Ok(out)
@@ -683,41 +671,8 @@ impl ExportSinks {
     }
 }
 
-/// Fold one algorithm run's snapshot into `into`, prefixing every
-/// span/counter/histogram name with `prefix/` so runs stay separable.
-fn merge_namespaced(prefix: &str, snap: Snapshot, into: &mut Snapshot) {
-    for (k, v) in snap.spans {
-        into.spans.insert(format!("{prefix}/{k}"), v);
-    }
-    for (k, v) in snap.counters {
-        into.counters.insert(format!("{prefix}/{k}"), v);
-    }
-    for (k, v) in snap.histograms {
-        into.histograms.insert(format!("{prefix}/{k}"), v);
-    }
-}
-
-/// One algorithm's row in the profile report.
-struct ProfileRow {
-    name: &'static str,
-    /// Worst end-to-end bound across flows (`None` when the run failed).
-    bound: Option<Rat>,
-    wall_us: u64,
-    conv_calls: u64,
-    hdev_calls: u64,
-    /// Curve/aggregate cache hits (`cache.hit` counter).
-    cache_hits: u64,
-    /// Total cache lookups (hits + misses); 0 = the run never consulted
-    /// a cache, rendered as "-".
-    cache_lookups: u64,
-    notes: String,
-}
-
 /// Hit fraction of the curve/aggregate caches during one profiled run.
 const CACHE_HIT_RATE: schema::ColumnMeta = dnc_bench::column("cache hit rate", "");
-
-/// One profiled analysis run: the report plus a free-form notes string.
-type ProfileRun<'a> = dyn Fn(&dnc_net::Network) -> Result<(AnalysisReport, String), String> + 'a;
 
 /// Run every applicable algorithm on `path`, reporting tightness (worst
 /// end-to-end bound) against cost (wall time, curve-operation counts).
@@ -728,60 +683,8 @@ fn profile(a: &Args) -> Result<String, CliError> {
     let net = &built.net;
     let cyclic = net.topological_order().is_err();
 
-    let mut rows: Vec<ProfileRow> = Vec::new();
-    let mut merged = Snapshot::default();
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let mut bounds_series = Series::new(
-        "profile.bounds",
-        vec![schema::LABEL, schema::bound_column()],
-    );
-
-    let mut run_one = |name: &'static str, run: &ProfileRun<'_>| {
-        dnc_telemetry::reset();
-        let t0 = Instant::now();
-        let outcome = run(net);
-        let wall_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let snap = dnc_telemetry::snapshot();
-        events.extend(dnc_telemetry::take_trace());
-        let conv_calls = snap.span_count("curve.conv");
-        let hdev_calls = snap.span_count("curve.hdev") + snap.span_count("curve.hdev_general");
-        let cache_hits = snap.counter_value("cache.hit");
-        let cache_lookups = cache_hits + snap.counter_value("cache.miss");
-        let (bound, notes) = match outcome {
-            Ok((report, mut notes)) => {
-                let worst = report.flows.iter().map(|f| f.e2e).max();
-                for f in &report.flows {
-                    bounds_series.push_row(vec![
-                        Cell::Text(format!("{name}/{}", f.name)),
-                        Cell::Num(f.e2e.to_f64()),
-                    ]);
-                }
-                let pairs = snap.counter_value("net.pairing.pairs");
-                if pairs > 0 {
-                    if !notes.is_empty() {
-                        notes.push(' ');
-                    }
-                    let _ = write!(notes, "pairs={pairs}");
-                }
-                (worst, notes)
-            }
-            Err(e) => (None, format!("failed: {e}")),
-        };
-        merge_namespaced(name, snap, &mut merged);
-        rows.push(ProfileRow {
-            name,
-            bound,
-            wall_us,
-            conv_calls,
-            hdev_calls,
-            cache_hits,
-            cache_lookups,
-            notes,
-        });
-    };
-
-    if cyclic {
-        run_one("time-stopping", &|net| {
+    let rows: Vec<ProfileRow> = if cyclic {
+        vec![run_one(net, "time-stopping", &|net| {
             let r = dnc_core::cyclic::TimeStopping::default()
                 .analyze(net)
                 .map_err(|e| e.to_string())?;
@@ -790,19 +693,16 @@ fn profile(a: &Args) -> Result<String, CliError> {
                 Some(report) => Ok((report, format!("iters={iters}"))),
                 None => Err(format!("did not converge after {iters} iterations")),
             }
-        });
+        })]
     } else {
-        for alg in algorithms("all")? {
-            run_one(alg.name(), &|net| {
-                alg.analyze(net)
-                    .map(|r| (r, String::new()))
-                    .map_err(|e| e.to_string())
-            });
-        }
-    }
+        algorithms("all")?
+            .iter()
+            .map(|alg| run_analysis(net, alg.as_ref()))
+            .collect()
+    };
 
     // Tightness is relative to the best (smallest) worst-case bound.
-    let best = rows.iter().filter_map(|r| r.bound).min();
+    let best = rows.iter().filter_map(ProfileRow::bound).min();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -827,37 +727,42 @@ fn profile(a: &Args) -> Result<String, CliError> {
         ],
     );
     for r in &rows {
+        let bound = r.bound();
         // Display-only, never fed back into the analysis: the exact
         // quotient of two long-path bounds can overflow `Rat`, so divide
         // the rounded values.
-        let ratio = match (r.bound, best) {
+        let ratio = match (bound, best) {
             (Some(b), Some(best)) if best.is_positive() => Some(b.to_f64() / best.to_f64()),
             _ => None,
         };
-        let ratio_text = match (r.bound, ratio) {
+        let ratio_text = match (bound, ratio) {
             (Some(_), Some(q)) => format!("{q:.2}x"),
             (Some(_), None) => "1.00x".to_string(), // every bound is zero
             (None, _) => "-".to_string(),
         };
+        let snap = &r.snap;
+        let conv_calls = snap.span_count("curve.conv");
+        let hdev_calls = snap.span_count("curve.hdev") + snap.span_count("curve.hdev_general");
+        let cache_hits = snap.counter_value("cache.hit");
+        let cache_lookups = cache_hits + snap.counter_value("cache.miss");
         // With telemetry compiled out (or a cache-free algorithm) there
         // are no lookups at all — show "-" rather than a fake 0%.
-        let hit_rate = (r.cache_lookups > 0).then(|| r.cache_hits as f64 / r.cache_lookups as f64); // audit: allow(float, display-only hit rate; never feeds back into the analysis)
+        let hit_rate = (cache_lookups > 0).then(|| cache_hits as f64 / cache_lookups as f64); // audit: allow(float, display-only hit rate; never feeds back into the analysis)
         let _ = writeln!(
             out,
             "{:<14} {:>12} {:>8} {:>10} {:>7} {:>7} {:>6}  {}",
             r.name,
-            r.bound
-                .map_or("-".to_string(), |b| format!("{:.4}", b.to_f64())),
+            bound.map_or("-".to_string(), |b| format!("{:.4}", b.to_f64())),
             ratio_text,
             format!("{}µs", r.wall_us),
-            r.conv_calls,
-            r.hdev_calls,
+            conv_calls,
+            hdev_calls,
             hit_rate.map_or("-".to_string(), |h| format!("{:.0}%", 100.0 * h)),
             r.notes
         );
         algo_series.push_row(vec![
             Cell::Text(r.name.to_string()),
-            r.bound.map_or(Cell::Null, |b| Cell::Num(b.to_f64())),
+            bound.map_or(Cell::Null, |b| Cell::Num(b.to_f64())),
             ratio.map_or(Cell::Null, Cell::Num),
             Cell::int(r.wall_us),
             hit_rate.map_or(Cell::Null, Cell::Num),
@@ -871,6 +776,22 @@ fn profile(a: &Args) -> Result<String, CliError> {
     }
 
     if sinks.any() {
+        let mut bounds_series = Series::new(
+            "profile.bounds",
+            vec![schema::LABEL, schema::bound_column()],
+        );
+        let mut merged = Snapshot::default();
+        let mut events: Vec<TraceEvent> = Vec::new();
+        for r in rows {
+            for f in r.report.iter().flat_map(|report| &report.flows) {
+                bounds_series.push_row(vec![
+                    Cell::Text(format!("{}/{}", r.name, f.name)),
+                    Cell::Num(f.e2e.to_f64()),
+                ]);
+            }
+            merge_namespaced(r.name, r.snap, &mut merged);
+            events.extend(r.events);
+        }
         let mut doc = MetricsDoc::new("profile", merged)
             .with_meta("scenario", path)
             .with_meta("servers", net.servers().len().to_string())

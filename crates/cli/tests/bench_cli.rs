@@ -1,116 +1,131 @@
-//! End-to-end test of `dnc bench`: a synthetic regression fixture in
-//! the trajectory must trip `--gate` with the dedicated exit code, and
-//! every side artifact (appended record, raw-metrics archive,
-//! dashboard) must land where the flags say.
+//! End-to-end tests of `dnc bench` and its equality gate.
 //!
-//! The fixture seeds `BENCH_throughput.json` with prior runs claiming
-//! an absurd `throughput.speedup` (1e12, higher-is-better), so the
-//! real quick run is guaranteed to fall below the noise band on any
-//! machine — the regression verdict is deterministic even though the
-//! measured timings are not.
+//! Every run is a fresh `dnc` process. Memos and telemetry are
+//! process-global: a second run inside one process sees warm memos (and,
+//! in a telemetry build, other tests' counters), so only a fresh process
+//! reproduces a pinned record's counters.
 
-use dnc_bench::trajectory::{append_record, BenchRecord};
-use dnc_cli::commands::{run, EXIT_REGRESSION};
+use dnc_bench::exit;
+use dnc_bench::trajectory::{load_trajectory, record_line};
 use dnc_service::fs::ScratchDir;
-use dnc_telemetry::schema;
-use std::collections::BTreeMap;
 use std::path::Path;
+use std::process::{Command, Output};
 
-fn prior(speedup: f64) -> BenchRecord {
-    BenchRecord {
-        timestamp: "2026-08-07T00:00:00Z".to_string(),
-        git_sha: "fixture00000".to_string(),
-        toolchain: "rustc fixture".to_string(),
-        knobs: BTreeMap::from([("profile".to_string(), "quick".to_string())]),
-        metrics: BTreeMap::from([("throughput.speedup".to_string(), speedup)]),
-        counters: BTreeMap::new(),
+/// Run `dnc bench --bench-dir <dir> [--gate]` in a fresh process.
+fn bench(dir: &Path, gate: bool) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_dnc"));
+    cmd.arg("bench").arg("--bench-dir").arg(dir);
+    if gate {
+        cmd.arg("--gate");
     }
+    cmd.output().expect("dnc starts")
 }
 
-/// Run one `dnc` command line, its arguments split on whitespace.
-fn dnc(line: &str) -> Result<String, dnc_cli::commands::CliError> {
-    run(&line
-        .split_whitespace()
-        .map(String::from)
-        .collect::<Vec<_>>())
+/// Everything the run printed, stdout then stderr.
+fn report(out: &Output) -> String {
+    let mut s = String::from_utf8_lossy(&out.stdout).into_owned();
+    s.push_str(&String::from_utf8_lossy(&out.stderr));
+    s
 }
 
-fn read_lines(path: &Path) -> Vec<String> {
-    std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+fn lines(dir: &Path, file: &str) -> usize {
+    std::fs::read_to_string(dir.join(file))
+        .unwrap()
         .lines()
-        .map(str::to_string)
-        .collect()
+        .count()
+}
+
+/// A counter every telemetry build records; absent without telemetry.
+const COUNTER: &str = "profile/integrated/core.pair_bound.calls";
+
+/// Pin one run's records, then change one metric value and one counter
+/// value of the pinned throughput record.
+fn tampered_pin(tag: &str) -> ScratchDir {
+    let dir = ScratchDir::new(tag);
+    let first = bench(&dir, false);
+    assert_eq!(first.status.code(), Some(exit::OK), "{}", report(&first));
+    let path = dir.join("BENCH_throughput.json");
+    let mut records = load_trajectory(&path).unwrap();
+    let pinned = &mut records[0];
+    *pinned.metrics.get_mut("throughput.commits").unwrap() += 1.0;
+    *pinned.counters.entry(COUNTER.to_string()).or_insert(0) += 1;
+    std::fs::write(&path, format!("{}\n", record_line(pinned))).unwrap();
+    dir
+}
+
+#[test]
+fn bench_then_gate_passes() {
+    let dir = ScratchDir::new("bench-cli-pin");
+    let first = bench(&dir, false);
+    assert_eq!(first.status.code(), Some(exit::OK), "{}", report(&first));
+    assert!(report(&first).contains("no pinned record"));
+    let gated = bench(&dir, true);
+    assert_eq!(gated.status.code(), Some(exit::OK), "{}", report(&gated));
+    assert_eq!(
+        report(&gated).matches(": equals the pinned record").count(),
+        2
+    );
+    for file in ["BENCH_throughput.json", "BENCH_churn.json"] {
+        assert_eq!(lines(&dir, file), 2, "{file}: one appended line per run");
+    }
 }
 
 #[test]
 fn bench_gate_trips_on_synthetic_regression_fixture() {
-    let dir = ScratchDir::new("bench-cli-gate");
-    let bench_dir = dir.join("trajectories");
-    let traj = bench_dir.join("BENCH_throughput.json");
-    append_record(&traj, &prior(1.0e12)).expect("seed prior 1");
-    append_record(&traj, &prior(1.0e12)).expect("seed prior 2");
-
-    let out_dir = dir.join("results");
-    let dash = dir.join("dashboard");
-    let (b, o, d) = (bench_dir.display(), out_dir.display(), dash.display());
-    let err = dnc(&format!(
-        "bench --quick --gate --bench-dir {b} --out-dir {o} --dashboard {d}"
-    ))
-    .expect_err("a speedup baseline of 1e12 must trip the gate");
-    assert_eq!(err.code, EXIT_REGRESSION, "dedicated gate exit code");
-    assert!(
-        err.message.contains("regression gate tripped"),
-        "message explains the failure:\n{}",
-        err.message
+    let dir = tampered_pin("bench-cli-gate");
+    let out = bench(&dir, true);
+    assert_eq!(
+        out.status.code(),
+        Some(exit::REGRESSION),
+        "{}",
+        report(&out)
     );
-    assert!(
-        err.message.contains("throughput.speedup"),
-        "diff table names the out-of-band metric:\n{}",
-        err.message
-    );
-
-    // The run still appended its record (the trajectory is the log of
-    // what happened, not of what passed) and the file stays schema-valid.
-    assert_eq!(read_lines(&traj).len(), 3, "fixture priors + the new run");
-    let text = std::fs::read_to_string(&traj).unwrap();
-    schema::validate_bench(&text).expect("trajectory stays dnc-bench/v1 after append");
-    let churn = std::fs::read_to_string(bench_dir.join("BENCH_churn.json")).unwrap();
-    schema::validate_bench(&churn).expect("churn trajectory is dnc-bench/v1");
-
-    // Raw metrics were archived under results/runs/<slug>/ and the
-    // dashboard rendered despite the gate verdict.
-    let runs: Vec<_> = std::fs::read_dir(out_dir.join("runs"))
-        .expect("archive root exists")
-        .map(|e| e.unwrap().path())
-        .collect();
-    assert_eq!(runs.len(), 1, "one archive directory per run");
-    for doc in ["throughput", "profile", "chaos", "churn"] {
-        let path = runs[0].join(format!("metrics-{doc}.json"));
-        let body = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("archived {}: {e}", path.display()));
-        schema::validate_metrics(&body).expect("archived doc is dnc-metrics/v1");
-    }
-    let html = std::fs::read_to_string(dash.join("index.html")).expect("dashboard rendered");
-    assert!(
-        html.contains("banner bad"),
-        "dashboard shows the regression"
-    );
+    let text = report(&out);
+    assert!(text.contains("2 key(s) differ"), "{text}");
+    assert!(text.contains("throughput.commits: pinned "), "{text}");
+    assert!(text.contains(&format!("{COUNTER}: pinned ")), "{text}");
+    assert!(text.contains("gate failed"), "{text}");
+    // The record is appended even when the gate fails: the files log
+    // what happened, not what passed.
+    assert_eq!(lines(&dir, "BENCH_throughput.json"), 2);
 }
 
 #[test]
 fn bench_without_gate_reports_but_does_not_fail() {
-    let dir = ScratchDir::new("bench-cli-nogate");
-    let bench_dir = dir.join("trajectories");
-    append_record(&bench_dir.join("BENCH_throughput.json"), &prior(1.0e12)).expect("seed prior");
+    let dir = tampered_pin("bench-cli-nogate");
+    let out = bench(&dir, false);
+    assert_eq!(out.status.code(), Some(exit::OK), "{}", report(&out));
+    let text = report(&out);
+    assert!(text.contains("throughput.commits: pinned "), "{text}");
+    assert!(text.contains(&format!("{COUNTER}: pinned ")), "{text}");
+}
 
-    // Same regressing fixture, no --gate: the run reports the verdict
-    // in its text but exits clean.
-    let (b, o) = (bench_dir.display(), dir.join("results"));
-    let out = dnc(&format!(
-        "bench --quick --bench-dir {b} --out-dir {}",
-        o.display()
-    ))
-    .expect("without --gate the verdict is advisory");
-    assert!(out.contains("REGRESSED"), "verdict still reported:\n{out}");
+#[test]
+fn gate_without_a_pinned_record_exits_4_with_the_repin_message() {
+    let dir = ScratchDir::new("bench-cli-empty");
+    let out = bench(&dir, true);
+    assert_eq!(
+        out.status.code(),
+        Some(exit::REGRESSION),
+        "{}",
+        report(&out)
+    );
+    let text = report(&out);
+    assert_eq!(
+        text.matches(": no pinned record with these knobs").count(),
+        2
+    );
+    assert!(
+        text.contains("run `dnc bench` and commit the appended lines"),
+        "{text}"
+    );
+}
+
+#[test]
+fn a_malformed_line_fails_the_run() {
+    let dir = ScratchDir::new("bench-cli-torn");
+    std::fs::write(dir.join("BENCH_churn.json"), "{\"schema\": \"dnc-be\n").unwrap();
+    let out = bench(&dir, false);
+    assert_eq!(out.status.code(), Some(exit::USAGE), "{}", report(&out));
+    assert!(report(&out).contains("line 1"), "{}", report(&out));
 }

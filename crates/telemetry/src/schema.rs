@@ -237,127 +237,6 @@ pub fn validate_metrics(input: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Schema identifier of perf-trajectory records (the repo-root
-/// `BENCH_*.json` files appended by `dnc bench`).
-pub const BENCH_SCHEMA: &str = "dnc-bench/v1";
-
-fn bench_string_map(doc: &Value, key: &str) -> Result<(), String> {
-    let map = doc
-        .get(key)
-        .and_then(Value::as_object)
-        .ok_or(format!("missing object field `{key}`"))?;
-    for (k, v) in map {
-        if v.as_str().is_none() {
-            return Err(format!("{key}.{k} must be a string"));
-        }
-    }
-    Ok(())
-}
-
-fn bench_number_map(doc: &Value, key: &str) -> Result<(), String> {
-    let map = doc
-        .get(key)
-        .and_then(Value::as_object)
-        .ok_or(format!("missing object field `{key}`"))?;
-    for (k, v) in map {
-        if v.as_number().is_none() {
-            return Err(format!("{key}.{k} must be a number"));
-        }
-    }
-    Ok(())
-}
-
-/// Structurally validate one `dnc-bench/v1` record (a single JSON
-/// object — one line of a trajectory file).
-pub fn validate_bench_record(input: &str) -> Result<(), String> {
-    let doc = json::parse(input).map_err(|e| e.to_string())?;
-    match doc.get("schema").and_then(Value::as_str) {
-        Some(s) if s == BENCH_SCHEMA => {}
-        Some(s) => return Err(format!("schema is `{s}`, expected `{BENCH_SCHEMA}`")),
-        None => return Err("missing string field `schema`".to_string()),
-    }
-    for key in ["timestamp", "git_sha", "toolchain"] {
-        field_is_string(&doc, key)?;
-    }
-    bench_string_map(&doc, "knobs")?;
-    bench_number_map(&doc, "metrics")?;
-    bench_number_map(&doc, "counters")?;
-    Ok(())
-}
-
-fn value_kind(v: &Value) -> &'static str {
-    match v {
-        Value::Null => "null",
-        Value::Bool(_) => "bool",
-        Value::Number(_) => "number",
-        Value::Str(_) => "string",
-        Value::Array(_) => "array",
-        Value::Object(_) => "object",
-    }
-}
-
-/// Describe the *shape* of the last record in a trajectory file: one
-/// sorted `key: type` line per top-level field, with homogeneous object
-/// values collapsed to `object<type>`. CI diffs this against the shape
-/// of the committed `docs/bench-record.example.json` so schema drift in
-/// appended records is caught even when both sides still validate.
-pub fn bench_record_shape(input: &str) -> Result<String, String> {
-    let line = input
-        .lines()
-        .rev()
-        .find(|l| !l.trim().is_empty())
-        .ok_or("empty trajectory (no records)")?;
-    let doc = json::parse(line).map_err(|e| e.to_string())?;
-    let obj = match &doc {
-        Value::Object(map) => map,
-        other => {
-            return Err(format!(
-                "record must be an object, got {}",
-                value_kind(other)
-            ))
-        }
-    };
-    let mut out = String::new();
-    for (key, v) in obj {
-        let kind = match v {
-            Value::Str(s) if key == "schema" => s.clone(),
-            Value::Object(map) => {
-                let mut kinds: Vec<&str> = map.values().map(value_kind).collect();
-                kinds.sort_unstable();
-                kinds.dedup();
-                match kinds.as_slice() {
-                    [] => "object<empty>".to_string(),
-                    [one] => format!("object<{one}>"),
-                    _ => "object<mixed>".to_string(),
-                }
-            }
-            other => value_kind(other).to_string(),
-        };
-        out.push_str(key);
-        out.push_str(": ");
-        out.push_str(&kind);
-        out.push('\n');
-    }
-    Ok(out)
-}
-
-/// Structurally validate a whole trajectory file: JSON Lines, one
-/// `dnc-bench/v1` record per non-empty line, at least one record.
-pub fn validate_bench(input: &str) -> Result<(), String> {
-    let mut records = 0usize;
-    for (i, line) in input.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        validate_bench_record(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        records += 1;
-    }
-    if records == 0 {
-        return Err("empty trajectory (no records)".to_string());
-    }
-    Ok(())
-}
-
 /// Structurally validate a Chrome `trace_event` document as emitted by
 /// [`crate::export::trace_json`] (complete events only).
 pub fn validate_trace(input: &str) -> Result<(), String> {
@@ -430,63 +309,6 @@ mod tests {
         assert!(validate_trace(bad_ph).is_err());
         let missing = r#"{"traceEvents": [{"name": "a", "ph": "X"}]}"#;
         assert!(validate_trace(missing).is_err());
-    }
-
-    #[test]
-    fn bench_record_round_trips() {
-        let rec = r#"{"schema": "dnc-bench/v1", "timestamp": "2026-08-08T00:00:00Z",
-                      "git_sha": "abc1234", "toolchain": "rustc 1.75.0",
-                      "knobs": {"seed": "1", "quick": "true"},
-                      "metrics": {"throughput.admissions_per_sec": 1200.5},
-                      "counters": {"curve.conv": 42}}"#;
-        validate_bench_record(rec).unwrap();
-        let trajectory = format!("{}\n{}\n", rec.replace('\n', " "), rec.replace('\n', " "));
-        validate_bench(&trajectory).unwrap();
-    }
-
-    #[test]
-    fn bench_shape_is_sorted_and_collapsed() {
-        let rec = r#"{"schema": "dnc-bench/v1", "timestamp": "t", "git_sha": "s",
-                      "toolchain": "r", "knobs": {"seed": "1"},
-                      "metrics": {"m": 2}, "counters": {}}"#;
-        let input = format!("ignored-line-is-not-parsed\n{}\n", rec.replace('\n', " "));
-        // Only the last record's shape is reported.
-        let shape = bench_record_shape(&input).unwrap();
-        assert_eq!(
-            shape,
-            "counters: object<empty>\n\
-             git_sha: string\n\
-             knobs: object<string>\n\
-             metrics: object<number>\n\
-             schema: dnc-bench/v1\n\
-             timestamp: string\n\
-             toolchain: string\n"
-        );
-        assert!(bench_record_shape("").is_err());
-    }
-
-    #[test]
-    fn bench_rejects_wrong_schema_and_shapes() {
-        let bad_tag = r#"{"schema": "dnc-bench/v0", "timestamp": "t", "git_sha": "s",
-                          "toolchain": "r", "knobs": {}, "metrics": {}, "counters": {}}"#;
-        let err = validate_bench_record(bad_tag).unwrap_err();
-        assert!(err.contains("dnc-bench/v0"), "{err}");
-
-        let bad_metric = r#"{"schema": "dnc-bench/v1", "timestamp": "t", "git_sha": "s",
-                             "toolchain": "r", "knobs": {}, "metrics": {"m": "oops"},
-                             "counters": {}}"#;
-        let err = validate_bench_record(bad_metric).unwrap_err();
-        assert!(err.contains("metrics.m"), "{err}");
-
-        let bad_knob = r#"{"schema": "dnc-bench/v1", "timestamp": "t", "git_sha": "s",
-                           "toolchain": "r", "knobs": {"k": 3}, "metrics": {},
-                           "counters": {}}"#;
-        let err = validate_bench_record(bad_knob).unwrap_err();
-        assert!(err.contains("knobs.k"), "{err}");
-
-        assert!(validate_bench("").is_err(), "empty trajectory must fail");
-        let err = validate_bench("\n{\"schema\": 1}\n").unwrap_err();
-        assert!(err.starts_with("line 2"), "{err}");
     }
 
     #[test]

@@ -22,12 +22,8 @@
 //! Sibling tasks check emitted telemetry artifacts against their
 //! schemas: `cargo xtask validate-metrics <file>...` and
 //! `cargo xtask validate-trace <file>...` (CI runs both on the
-//! `dnc profile` smoke outputs), plus
-//! `cargo xtask validate-bench [--shape] <file>...` for the
-//! `dnc-bench/v1` perf trajectories that `dnc bench` appends (see
-//! DESIGN §15). `cargo xtask counters <file>` prints a metrics
-//! document's work counters as sorted JSON, one per line, so CI can diff
-//! them exactly against `results/profile-counters-t6.json`.
+//! `dnc profile` smoke outputs). The `dnc-bench/v1` records need no
+//! task: `dnc bench` parses its whole files on every run (DESIGN §15).
 
 mod deepcheck;
 mod index;
@@ -70,12 +66,9 @@ const FLOAT_WHITELIST: &[&str] = &[
     // feed back into the Rat analysis.
     "crates/bench/src/throughput.rs",
     "crates/bench/src/socket.rs",
-    // The perf-trajectory layer is reporting-side end to end: records,
-    // gate math, and dashboard charts consume already-lossy measurements
-    // and never feed back into the Rat analysis.
+    // Bench records store each exact value as the nearest `f64`; nothing
+    // read back from a record feeds the Rat analysis.
     "crates/bench/src/trajectory.rs",
-    "crates/bench/src/dashboard.rs",
-    "crates/bench/src/runner.rs",
 ];
 
 /// Directory trees never scanned (`fixtures` is the deepcheck lint
@@ -87,7 +80,7 @@ fn main() -> ExitCode {
     let (cmd, flags) = match args.split_first() {
         Some((c, rest)) => (c.as_str(), rest),
         None => {
-            eprintln!("usage: cargo xtask <audit [--json] | deepcheck [--json] | validate-metrics <file>... | validate-trace <file>... | validate-bench [--shape] <file>... | counters <file>>");
+            eprintln!("usage: cargo xtask <audit [--json] | deepcheck [--json] | validate-metrics <file>... | validate-trace <file>...>");
             return ExitCode::FAILURE;
         }
     };
@@ -106,93 +99,13 @@ fn main() -> ExitCode {
         }
         "validate-metrics" => validate_files(cmd, flags, dnc_telemetry::schema::validate_metrics),
         "validate-trace" => validate_files(cmd, flags, dnc_telemetry::schema::validate_trace),
-        "validate-bench" => {
-            let shape = flags.iter().any(|f| f == "--shape");
-            let paths: Vec<String> = flags.iter().filter(|f| *f != "--shape").cloned().collect();
-            if shape {
-                shape_files(&paths)
-            } else {
-                validate_files(cmd, &paths, dnc_telemetry::schema::validate_bench)
-            }
-        }
-        "counters" => counters_cmd(flags),
         other => {
             eprintln!(
-                "xtask: unknown task `{other}` (tasks: audit, deepcheck, validate-metrics, validate-trace, validate-bench, counters)"
+                "xtask: unknown task `{other}` (tasks: audit, deepcheck, validate-metrics, validate-trace)"
             );
             ExitCode::FAILURE
         }
     }
-}
-
-/// `validate-bench --shape`: print each file's last-record shape (sorted
-/// `key: type` lines), so CI can diff an appended record against the
-/// committed example without comparing values.
-fn shape_files(paths: &[String]) -> ExitCode {
-    if paths.is_empty() {
-        eprintln!("usage: cargo xtask validate-bench [--shape] <file>...");
-        return ExitCode::FAILURE;
-    }
-    for path in paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("{path}: cannot read: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match dnc_telemetry::schema::bench_record_shape(&text) {
-            Ok(shape) => print!("{shape}"),
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// `counters <file>`: print the document's counter map.
-fn counters_cmd(paths: &[String]) -> ExitCode {
-    let [path] = paths else {
-        eprintln!("usage: cargo xtask counters <metrics.json>");
-        return ExitCode::FAILURE;
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("{path}: cannot read: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match counters_json(&text) {
-        Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{path}: INVALID: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The `counters` object of a `dnc-metrics/v1` document as JSON with one
-/// `"name": value` entry per line, in name order.
-fn counters_json(text: &str) -> Result<String, String> {
-    let doc = dnc_telemetry::json::parse(text).map_err(|e| format!("{e:?}"))?;
-    let counters = doc
-        .get("counters")
-        .and_then(|c| c.as_object())
-        .ok_or("no `counters` object")?;
-    let mut lines = Vec::with_capacity(counters.len());
-    for (name, value) in counters {
-        let n = value
-            .as_number()
-            .ok_or_else(|| format!("counter `{name}` is not a number"))?;
-        lines.push(format!("  \"{name}\": {n}"));
-    }
-    Ok(format!("{{\n{}\n}}\n", lines.join(",\n")))
 }
 
 /// Run a schema validator over each listed file; report per-file results
@@ -394,19 +307,4 @@ fn workspace_root() -> PathBuf {
         }
     }
     std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::counters_json;
-
-    #[test]
-    fn counters_print_sorted_one_per_line() {
-        let doc = r#"{"schema": "dnc-metrics/v1", "counters": {"b/x": 3, "a/y": 10}}"#;
-        assert_eq!(
-            counters_json(doc).unwrap(),
-            "{\n  \"a/y\": 10,\n  \"b/x\": 3\n}\n"
-        );
-        assert!(counters_json(r#"{"spans": {}}"#).is_err());
-    }
 }
