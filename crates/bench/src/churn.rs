@@ -154,7 +154,7 @@ fn draw_admit(rng: &mut StdRng, seq: usize, k: usize, servers: usize) -> Request
 /// so the durability falsifiers (churn and torture) have an independent
 /// oracle.
 pub(crate) fn expected_state(base_flows: usize, ops: &[Op]) -> String {
-    let mut admitted: Vec<&dnc_service::AdmitOp> = Vec::new();
+    let mut admitted: Vec<&dnc_service::AdmitRequest> = Vec::new();
     for op in ops {
         match op {
             Op::Admit(a) => admitted.push(a),
@@ -697,7 +697,7 @@ mod tests {
     #[test]
     fn expected_state_folds_releases() {
         let a = |name: &str| {
-            Op::Admit(dnc_service::AdmitOp {
+            Op::Admit(dnc_service::AdmitRequest {
                 name: name.into(),
                 route: vec![ServerId(0)],
                 buckets: vec![(Rat::ONE, Rat::new(1, 8))],

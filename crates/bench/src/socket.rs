@@ -138,7 +138,7 @@ fn request_line(seed: u64, client: usize, k: usize) -> String {
 
 fn decode(line: &str) -> Result<Request, String> {
     match Op::decode(line) {
-        Ok(Op::Admit(a)) => Ok(Request::Admit(a.into())),
+        Ok(Op::Admit(a)) => Ok(Request::Admit(a)),
         Ok(Op::Release { name }) => Ok(Request::Release { name }),
         Err(e) => Err(format!("ERR {e}")),
     }

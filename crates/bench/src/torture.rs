@@ -34,8 +34,7 @@ use dnc_net::{Network, ServerId};
 use dnc_num::Rat;
 use dnc_service::fs::ScratchDir;
 use dnc_service::{
-    AdmitOp, AdmitRequest, ChurnEngine, EngineConfig, FaultFs, Op, Request, StorageHandle,
-    FAULT_KINDS,
+    AdmitRequest, ChurnEngine, EngineConfig, FaultFs, Op, Request, StorageHandle, FAULT_KINDS,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -172,14 +171,7 @@ fn draw_schedule(rng: &mut StdRng, scenario: usize, servers: usize, ops: usize) 
 /// only — the workload never draws queries).
 fn op_of(req: &Request) -> Option<Op> {
     match req {
-        Request::Admit(a) => Some(Op::Admit(AdmitOp {
-            name: a.name.clone(),
-            route: a.route.clone(),
-            buckets: a.buckets.clone(),
-            peak: a.peak,
-            priority: a.priority,
-            deadline: a.deadline,
-        })),
+        Request::Admit(a) => Some(Op::Admit(a.clone())),
         Request::Release { name } => Some(Op::Release { name: name.clone() }),
         Request::Query { .. } => None,
     }

@@ -15,9 +15,10 @@
 //! *names* resolved against the network file).
 //!
 //! **Scripted mode** (`--script`): all requests are fed through the
-//! engine's bounded shed queue first — so overload behavior is
-//! observable with scripts longer than `--queue` — then drained in FIFO
-//! order, one answer line per request.
+//! same bounded shed queue the socket mode uses first — so overload
+//! behavior is observable with scripts longer than `--queue`, and sheds
+//! answer first — then committed in FIFO order, one journal record per
+//! request, one answer per request.
 //!
 //! **Socket mode** (`--listen <addr>`): many concurrent clients send
 //! the same request lines over TCP; replies are one line per request,
@@ -37,11 +38,11 @@ use crate::parse::{self, FlowDecl, ParseError};
 use dnc_core::admission::Deadline;
 use dnc_net::{Network, ServerId};
 use dnc_service::server::{self, ServerConfig};
-use dnc_service::{AdmitRequest, ChurnEngine, EngineConfig, Request, Response};
+use dnc_service::{AdmitRequest, Batcher, ChurnEngine, EngineConfig, Job, Request, Response, Work};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// Options for one `dnc serve` run.
 pub struct ServeOptions {
@@ -144,7 +145,8 @@ fn parse_script(text: &str, names: &HashMap<String, ServerId>) -> Result<Vec<Req
 }
 
 /// One reply line (no trailing newline) per response — the socket
-/// protocol's framing, and the first line of the scripted rendering.
+/// protocol's framing, and the scripted rendering of every answer but a
+/// query's.
 fn render_line(r: &Response) -> String {
     match r {
         Response::Admitted {
@@ -176,22 +178,21 @@ fn render_line(r: &Response) -> String {
     }
 }
 
-fn render(out: &mut String, r: &Response) {
-    match r {
-        Response::Queried { entries } => {
-            let _ = writeln!(out, "QUERY   {} admitted", entries.len());
-            for e in entries {
-                let _ = writeln!(
-                    out,
-                    "        {} ({}) deadline {}",
-                    e.name, e.flow, e.deadline
-                );
-            }
-        }
-        other => {
-            let _ = writeln!(out, "{}", render_line(other));
-        }
+/// The scripted rendering (no trailing newline): [`render_line`], except
+/// that a query lists one indented row per connection.
+fn render_block(r: &Response) -> String {
+    let Response::Queried { entries } = r else {
+        return render_line(r);
+    };
+    let mut s = format!("QUERY   {} admitted", entries.len());
+    for e in entries {
+        let _ = write!(
+            s,
+            "\n        {} ({}) deadline {}",
+            e.name, e.flow, e.deadline
+        );
     }
+    s
 }
 
 /// Build the engine (recovering the journal when given), appending any
@@ -207,7 +208,6 @@ fn open_engine(
         code: crate::commands::EXIT_USAGE,
     };
     let config = EngineConfig {
-        queue_capacity: opts.queue,
         snapshot_every: opts.snapshot_every,
         ..EngineConfig::default()
     };
@@ -292,32 +292,37 @@ pub fn serve(
         parse_script(&script_text, &names).map_err(|e| usage(format!("{script}: {e}")))?;
 
     let mut out = String::new();
-    let mut engine = open_engine(opts, built_net, base_deadlines, &mut out)?;
+    let engine = open_engine(opts, built_net, base_deadlines, &mut out)?;
 
-    // Enqueue everything first so the shed policy sees the whole burst,
-    // then drain FIFO.
+    // Enqueue everything first so the shed policy sees the whole burst
+    // (sheds are answered at once), then commit FIFO, one request per
+    // journal record.
+    let mut batcher = Batcher::new(engine, opts.queue, 1);
+    let (reply, replies) = mpsc::channel();
     for req in requests {
-        for shed in engine.submit(req) {
-            render(&mut out, &shed);
-        }
+        let job = Job {
+            work: Work::Op(req),
+            reply: reply.clone(),
+        };
+        batcher.enqueue(job, &render_block);
     }
-    let answers = engine
-        .drain()
+    batcher
+        .flush(&render_block)
         .map_err(|e| usage(format!("journal failure mid-drain: {e}")))?;
-    for r in &answers {
-        render(&mut out, r);
+    for line in replies.try_iter() {
+        let _ = writeln!(out, "{line}");
     }
 
-    let stats = engine.stats();
+    let stats = batcher.engine().stats();
     let _ = writeln!(
         out,
         "done: {} commit(s), {} rollback(s), {} shed(s), {} budget retr{}, {} connection(s) admitted",
         stats.commits,
         stats.rollbacks,
-        stats.sheds,
+        batcher.sheds(),
         stats.retries,
         if stats.retries == 1 { "y" } else { "ies" },
-        engine.admitted().count()
+        batcher.engine().admitted().count()
     );
     Ok(out)
 }

@@ -23,25 +23,10 @@
 //! non-convergence, *not* as a valid bound).
 
 use crate::decomposed::local_delays;
-use crate::fifo::cap_word;
 use crate::{fifo, AnalysisError, AnalysisReport, FlowReport, OutputCap};
-use dnc_curves::cache::{CacheKey, CurveCache};
-use dnc_curves::intern::{self, CurveId};
 use dnc_curves::{Curve, CurveError};
 use dnc_net::{Discipline, FlowId, Network, ServerId};
 use dnc_num::Rat;
-use std::sync::LazyLock;
-
-/// Memo for the time-stopping entry envelopes, keyed by (source curve,
-/// delay prefix, rate prefix, output cap, hop). The prefix repeats
-/// verbatim between passes wherever upstream delays have converged.
-static ENTRY_MEMO: LazyLock<CurveCache<CurveId>> = LazyLock::new(CurveCache::default);
-
-/// The envelope memoized under `key`, computed by `compute` on a miss.
-fn entry_curve(key: CacheKey, compute: impl FnOnce() -> Curve) -> Curve {
-    let id = ENTRY_MEMO.get_or_insert_with(key, || intern::intern(&compute()));
-    (*intern::resolve(id)).clone()
-}
 
 /// Result of a time-stopping run.
 ///
@@ -221,32 +206,25 @@ impl TimeStopping {
     /// iterate and writes its own `(flow, hop)` slots; the pass stops at
     /// the first server that fails.
     fn one_pass(&self, net: &Network, delays: &[Vec<Rat>]) -> Result<Vec<Vec<Rat>>, AnalysisError> {
-        // Characterize flow `i` at hop `h` by shifting its source curve
-        // through the *current* upstream delay estimates (memoized, see
-        // `ENTRY_MEMO`; under `debug-invariants` every answer is checked
-        // against the uncached fold).
-        let curve_at = |i: usize, h: usize| {
-            let f = &net.flows()[i]; // audit: allow(index, delay tables are sized per flow and route length; i/k/h index the same network)
-            let spec = f.spec.arrival_curve();
-            let key = CacheKey::new("core.ts_entry")
-                .curve(&spec)
-                .rat_seq(delays[i].iter().copied().take(h)) // audit: allow(index, delay tables are sized per flow and route length; i/k/h index the same network)
-                .rat_seq(f.route.iter().take(h).map(|&srv| net.server(srv).rate))
-                .word(cap_word(self.cap))
-                .word(h as u64);
-            let fold = || {
-                let mut c = spec.clone();
-                for (k, &srv) in f.route.iter().enumerate().take(h) {
-                    let rate = net.server(srv).rate;
-                    // audit: allow(index, delay tables are sized per flow and route length; i/k/h index the same network)
-                    c = fifo::propagate_output(&c, delays[i][k], rate, self.cap);
+        // Characterize every flow at every hop of its route by shifting
+        // its source curve through the *current* upstream delay
+        // estimates: one running fold per flow, so `entries[i][h]` is
+        // flow `i`'s arrival curve at hop `h`.
+        let entries: Vec<Vec<Curve>> = net
+            .flows()
+            .iter()
+            .zip(delays)
+            .map(|(f, d)| {
+                let mut c = f.spec.arrival_curve();
+                let mut at_hop = vec![c.clone()];
+                let upstream = f.route.len().saturating_sub(1);
+                for (&srv, &delay) in f.route.iter().zip(d).take(upstream) {
+                    c = fifo::propagate_output(&c, delay, net.server(srv).rate, self.cap);
+                    at_hop.push(c.clone());
                 }
-                c
-            };
-            let c = entry_curve(key, fold);
-            dnc_curves::invariant::same_as_general("core.ts_entry", &c, fold);
-            c
-        };
+                at_hop
+            })
+            .collect();
 
         let mut out: Vec<Vec<Rat>> = delays.to_vec();
         for (s, srv) in net.servers().iter().enumerate() {
@@ -256,7 +234,7 @@ impl TimeStopping {
                 .into_iter()
                 .map(|f| {
                     let h = net.hop_index(f, server).expect("incident"); // audit: allow(expect, f is drawn from the flows incident to server, so hop_index is Some)
-                    (f, curve_at(f.0, h))
+                    (f, entries[f.0][h].clone()) // audit: allow(index, delay tables are sized per flow and route length; i/k/h index the same network)
                 })
                 .collect();
             if curves.is_empty() {
@@ -291,23 +269,6 @@ mod tests {
     use dnc_net::{Flow, Server};
     use dnc_num::{int, rat};
     use dnc_traffic::TrafficSpec;
-
-    #[test]
-    fn entry_curve_memoizes() {
-        let spec = Curve::token_bucket(int(2), rat(1, 4));
-        let key = || CacheKey::new("test_entry").curve(&spec).rat(int(3));
-        let mut computed = 0;
-        let a = entry_curve(key(), || {
-            computed += 1;
-            spec.shift_left(int(3))
-        });
-        let b = entry_curve(key(), || {
-            computed += 1;
-            Curve::zero()
-        });
-        assert_eq!(a, b, "hit returns the memoized curve");
-        assert_eq!(computed, 1);
-    }
 
     /// A 3-server ring: flow k enters at server k and traverses two
     /// consecutive servers (wrapping), creating a dependency cycle.

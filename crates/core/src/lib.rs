@@ -35,9 +35,9 @@
 //!
 //! No analysis takes or owns a cache. Each memoized computation keeps
 //! one process-global table beside its function — the pair bound in
-//! [`integrated`], the time-stopping entry envelope in [`cyclic`],
-//! [`fifo_family::family_curve`], and `dnc_curves`' conv, deconv and
-//! deviations — keyed by every input and no network coordinate. Every
+//! [`integrated`], [`fifo_family::family_curve`], and `dnc_curves`'
+//! conv and deviations — keyed by every input and no network
+//! coordinate. Every
 //! call path (a one-shot [`DelayAnalysis::analyze`], incremental
 //! re-certification, the admission engine) shares those tables, and a
 //! hit is bit-identical to recomputation; under `debug-invariants`

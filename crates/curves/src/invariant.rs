@@ -13,8 +13,8 @@
 //! * envelope inequalities (`(f ⊗ g)(t) ≤ f(t) + g(0)` and symmetrically —
 //!   the `s = t` / `s = 0` candidates of the infimum),
 //! * kernel agreement (every closed-form or memoized answer of
-//!   `conv`/`deconv`/`hdev`/`hdev_general` equals the general
-//!   construction, see [`same_as_general`]).
+//!   `conv`/`hdev`/`hdev_general` equals the general construction, see
+//!   [`same_as_general`]).
 //!
 //! All checks run in exact `Rat` arithmetic, whose operators are
 //! overflow-checked (they panic with a diagnostic rather than wrapping), so
@@ -243,8 +243,8 @@ pub(crate) fn vdev_post(_alpha: &Curve, _beta: &Curve, _v: Rat) {}
 /// Postcondition of the curve kernel: an answer from a shape fast path
 /// or a memo equals the general construction `general()`, which must
 /// charge no [`crate::limits`] budget and open no span (so budgets
-/// behave the same with the feature on). Used by `conv`, `deconv`,
-/// `hdev`, `hdev_general` and `dnc-core`'s `family_curve`.
+/// behave the same with the feature on). Used by `conv`, `hdev`,
+/// `hdev_general` and `dnc-core`'s `family_curve`.
 #[cfg(feature = "debug-invariants")]
 pub fn same_as_general<T: PartialEq + std::fmt::Debug>(
     op: &str,

@@ -19,20 +19,20 @@
 //! The brute-force definitions are re-checked against these constructions
 //! by the property tests in `tests/prop_minplus.rs`.
 //!
-//! **The curve kernel.** [`conv`] and [`deconv`] first try the
-//! closed-form fast paths of [`crate::shape`] (token-bucket/rate-latency
-//! operands skip the envelope entirely) and otherwise memoize the
-//! envelope result in one global [`CurveCache`] per operation, keyed by
-//! interned [`CurveId`]s — the convolution key is order-normalized
-//! because ⊗ is commutative. Everything observable is unchanged:
-//! canonical representations are unique, so fast-path, memoized, and
-//! envelope results are bit-identical (proptested in
+//! **The curve kernel.** [`conv`] first tries the closed-form fast paths
+//! of [`crate::shape`] (token-bucket/rate-latency operands skip the
+//! envelope entirely) and otherwise memoizes the envelope result in one
+//! global [`CurveCache`], keyed by interned [`CurveId`]s and
+//! order-normalized because ⊗ is commutative. Everything observable is
+//! unchanged: canonical representations are unique, so fast-path,
+//! memoized, and envelope results are bit-identical (proptested in
 //! `tests/prop_intern.rs`, and asserted on every call under
 //! `debug-invariants` by [`crate::invariant::same_as_general`]);
 //! [`crate::limits::checkpoint`] still runs once per call *before* any
 //! cache probe, so operation/segment budgets behave identically.
-//! [`conv_envelope`] / [`deconv_envelope`] expose the always-general path
-//! for differential testing.
+//! [`conv_envelope`] exposes the always-general path for differential
+//! testing. [`deconv`] has no fast path and no memo: no analysis calls
+//! it, so it always runs the envelope construction.
 
 use crate::cache::{CacheKey, CurveCache};
 use crate::intern::{self, CurveId};
@@ -42,7 +42,6 @@ use dnc_num::Rat;
 use std::sync::LazyLock;
 
 static CONV_MEMO: LazyLock<CurveCache<CurveId>> = LazyLock::new(CurveCache::default);
-static DECONV_MEMO: LazyLock<CurveCache<CurveId>> = LazyLock::new(CurveCache::default);
 
 /// Min-plus convolution `f ⊗ g`.
 ///
@@ -139,36 +138,8 @@ pub fn deconv(f: &Curve, g: &Curve) -> Result<Curve, CurveError> {
     debug_assert!(f.is_nondecreasing(), "deconv: f must be nondecreasing");
     debug_assert!(g.is_nondecreasing(), "deconv: g must be nondecreasing");
     crate::bounds::stable(f, g)?;
-    let fid = intern::intern(f);
-    let gid = intern::intern(g);
-    let out = match shape::closed_deconv(&intern::shape_of(fid), &intern::shape_of(gid)) {
-        Some(out) => {
-            dnc_telemetry::counter("curve.deconv.fast_path", 1);
-            out
-        }
-        None => {
-            let key = CacheKey::new("curve.deconv").curve_id(fid).curve_id(gid);
-            let id = DECONV_MEMO.get_or_insert_with(key, || intern::intern(&deconv_core(f, g)));
-            (*intern::resolve(id)).clone()
-        }
-    };
-    dnc_telemetry::gauge_u64("curve.deconv.segments_out", || out.points().len() as u64);
-    crate::invariant::same_as_general("deconv", &out, || deconv_core(f, g));
-    crate::invariant::deconv_post(f, g, &out);
-    Ok(out)
-}
-
-/// The always-general candidate-envelope deconvolution, bypassing the
-/// shape fast paths and the operation memo. Same precondition as
-/// [`deconv`]: both operands nondecreasing (debug-asserted).
-/// Bit-identical to [`deconv`].
-pub fn deconv_envelope(f: &Curve, g: &Curve) -> Result<Curve, CurveError> {
-    crate::limits::checkpoint(f.points().len() + g.points().len());
-    let _span = dnc_telemetry::span("curve.deconv");
-    debug_assert!(f.is_nondecreasing(), "deconv: f must be nondecreasing");
-    debug_assert!(g.is_nondecreasing(), "deconv: g must be nondecreasing");
-    crate::bounds::stable(f, g)?;
     let out = deconv_core(f, g);
+    dnc_telemetry::gauge_u64("curve.deconv.segments_out", || out.points().len() as u64);
     crate::invariant::deconv_post(f, g, &out);
     Ok(out)
 }
@@ -288,9 +259,6 @@ mod tests {
         for f in &curves {
             for g in &curves {
                 assert_eq!(conv(f, g), conv_envelope(f, g), "conv {f} ⊗ {g}");
-                let fast = deconv(f, g);
-                let slow = deconv_envelope(f, g);
-                assert_eq!(fast, slow, "deconv {f} ⊘ {g}");
             }
         }
     }

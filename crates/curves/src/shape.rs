@@ -15,9 +15,9 @@
 //!   checks ([`classify`] is O(points) and the result is memoized per
 //!   interned curve by [`crate::intern::shape`]);
 //! * provides the closed forms themselves ([`closed_conv`],
-//!   [`closed_deconv`], [`closed_hdev`]), each returning `None` unless
-//!   the preconditions under which it is *provably bit-identical* to
-//!   the general path hold.
+//!   [`closed_hdev`]), each returning `None` unless the preconditions
+//!   under which it is *provably bit-identical* to the general path
+//!   hold.
 //!
 //! The shape lattice is intentionally not a partition: the rate curve
 //! `λ_r` is simultaneously `γ_{0,r}` and `β_{r,0}`, and the zero curve
@@ -170,21 +170,6 @@ pub fn closed_conv(fs: &ShapeInfo, gs: &ShapeInfo) -> Option<Curve> {
     None
 }
 
-/// Closed-form min-plus deconvolution
-/// `γ_{σ,ρ} ⊘ β_{R,T} = γ_{σ+ρT, ρ}` for `ρ ≤ R` (the sup walks the
-/// burst up the latency). Applies only to the concave token-bucket ⊘
-/// convex rate-latency pair. Callers handle `ρ > R` (unstable) before
-/// asking; this returns `None` there so the general path constructs the
-/// identical error.
-pub fn closed_deconv(fs: &ShapeInfo, gs: &ShapeInfo) -> Option<Curve> {
-    let (sigma, rho) = fs.as_token_bucket()?;
-    let (r, t) = gs.as_rate_latency()?;
-    if rho > r {
-        return None;
-    }
-    Some(gamma(sigma + rho * t, rho))
-}
-
 /// Closed-form horizontal deviation
 /// `h(γ_{σ,ρ}, β_{R,T}) = σ/R + T` for `ρ ≤ R`, `R > 0` — the classic
 /// burst-over-rate-plus-latency bound, tight for these shapes.
@@ -260,11 +245,6 @@ mod tests {
         let b2 = Curve::rate_latency(int(1), int(5));
         let got = closed_conv(&classify(&b1), &classify(&b2)).unwrap();
         assert_eq!(got, Curve::rate_latency(int(1), int(7)));
-
-        let a = Curve::token_bucket(int(2), int(1));
-        let b = Curve::rate_latency(int(3), int(4));
-        let got = closed_deconv(&classify(&a), &classify(&b)).unwrap();
-        assert_eq!(got, Curve::token_bucket(int(6), int(1)));
 
         let a = Curve::token_bucket(int(4), int(1));
         let b = Curve::rate_latency(int(2), int(3));

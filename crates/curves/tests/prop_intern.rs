@@ -106,17 +106,6 @@ proptest! {
     }
 
     #[test]
-    fn deconv_kernel_is_exact(a in arb_token_bucket(), b in arb_rate_latency()) {
-        let kernel = minplus::deconv(&a, &b);
-        let general = minplus::deconv_envelope(&a, &b);
-        match (kernel, general) {
-            (Ok(k), Ok(g)) => prop_assert_eq!(k, g),
-            (Err(k), Err(g)) => prop_assert_eq!(k.to_string(), g.to_string()),
-            (k, g) => prop_assert!(false, "kernel {k:?} vs envelope {g:?}"),
-        }
-    }
-
-    #[test]
     fn hdev_kernel_is_exact(a in arb_token_bucket(), b in arb_rate_latency()) {
         let kernel = bounds::hdev(&a, &b);
         let general = bounds::hdev_envelope(&a, &b);

@@ -1,17 +1,18 @@
-//! Group-commit scheduler: the piece between the socket front end and
-//! the engine's batch commit path.
+//! Group-commit scheduler: the one way a served request reaches the
+//! engine.
 //!
-//! Connection threads decode protocol lines into [`Job`]s — a request
-//! (or a pre-rendered reply line) still attached to its connection's
-//! reply channel — and hand them to a single [`Batcher`]. The batcher
-//! reuses the engine's [`ShedQueue`] as backpressure (sheds and
-//! displacements are answered immediately, with the queue's
-//! deterministic retry-after hint), then drains the queue in chunks of
-//! at most `batch` requests through [`ChurnEngine::process_batch`]:
-//! every chunk's committed ops share **one** journal record and **one**
-//! fsync, and only after that fsync are the chunk's acknowledgments
-//! delivered — in exactly the order the ops were staged, so
-//! acknowledged commits are never reordered.
+//! Front ends turn requests into [`Job`]s — a request (or a
+//! pre-rendered reply line) still attached to a reply channel — and hand
+//! them to a single [`Batcher`]: the socket server's connection threads
+//! (`server.rs`) and scripted `dnc serve` alike. The batcher owns the
+//! service's one [`ShedQueue`] as backpressure (sheds and displacements
+//! are answered immediately, with the queue's deterministic retry-after
+//! hint), then drains the queue in chunks of at most `batch` requests
+//! through [`ChurnEngine::process_batch`]: every chunk's committed ops
+//! share **one** journal record and **one** fsync, and only after that
+//! fsync are the chunk's acknowledgments delivered — in exactly the
+//! order the ops were staged, so acknowledged commits are never
+//! reordered. With `batch` = 1 every committed op gets its own record.
 //!
 //! The type is deliberately I/O-free (reply channels are plain `mpsc`
 //! senders), so the ordering and shedding contracts are testable
@@ -67,23 +68,16 @@ pub struct Batcher {
     engine: ChurnEngine,
     queue: ShedQueue<Job>,
     batch: usize,
-    sheds: u64,
 }
 
 impl Batcher {
     /// A batcher committing at most `batch` ops per journal record
     /// (clamped to ≥ 1), shedding past `queue_capacity` pending jobs.
-    pub fn new(
-        engine: ChurnEngine,
-        queue_capacity: usize,
-        shed_seed: u64,
-        batch: usize,
-    ) -> Batcher {
+    pub fn new(engine: ChurnEngine, queue_capacity: usize, batch: usize) -> Batcher {
         Batcher {
             engine,
-            queue: ShedQueue::with_seed(queue_capacity, shed_seed),
+            queue: ShedQueue::new(queue_capacity),
             batch: batch.max(1),
-            sheds: 0,
         }
     }
 
@@ -94,7 +88,7 @@ impl Batcher {
 
     /// Jobs answered with a SHED reply instead of being committed.
     pub fn sheds(&self) -> u64 {
-        self.sheds
+        self.queue.sheds()
     }
 
     /// The engine behind the queue (read-only).
@@ -112,30 +106,16 @@ impl Batcher {
     /// deterministic retry-after hint; surviving jobs wait for
     /// [`Batcher::flush`].
     pub fn enqueue(&mut self, job: Job, render: &RenderFn) {
-        match self.queue.push(job) {
-            Pushed::Enqueued => {}
-            Pushed::Displaced(victim) => {
-                let hint = self.queue.retry_after();
-                self.reply_shed(
-                    victim,
-                    "displaced by a tighter-deadline admit",
-                    hint,
-                    render,
-                );
-            }
-            Pushed::Shed(incoming, reason) => {
-                let hint = self.queue.retry_after();
-                self.reply_shed(incoming, &reason.to_string(), hint, render);
-            }
-        }
-    }
-
-    /// Answer a shed job right away — nothing was committed, so this
-    /// path owes no fsync (unlike `send_acks`).
-    fn reply_shed(&mut self, job: Job, reason: &str, retry_after: u64, render: &RenderFn) {
-        self.sheds += 1;
+        let (shed, reason) = match self.queue.push(job) {
+            Pushed::Enqueued => return,
+            Pushed::Displaced(victim) => (victim, "displaced by a tighter-deadline admit".into()),
+            Pushed::Shed(incoming, reason) => (incoming, reason.to_string()),
+        };
+        // Nothing was committed, so this answer owes no fsync (unlike
+        // `send_acks`).
         dnc_telemetry::counter("server.sheds", 1);
-        let line = match job.work {
+        let retry_after = self.queue.retry_after();
+        let line = match shed.work {
             Work::Op(req) => {
                 let name = match req {
                     Request::Admit(a) => a.name,
@@ -144,7 +124,7 @@ impl Batcher {
                 };
                 render(&Response::Shed {
                     name,
-                    reason: reason.to_string(),
+                    reason,
                     retry_after,
                 })
             }
@@ -152,7 +132,7 @@ impl Batcher {
             // losing a pre-rendered line would be worse than sending it.
             Work::Line(line) => line,
         };
-        let _ = job.reply.send(line);
+        let _ = shed.reply.send(line);
     }
 
     /// Drain the whole backlog in chunks of at most `batch` jobs: each
@@ -281,16 +261,8 @@ mod tests {
         net
     }
 
-    fn engine(queue_capacity: usize) -> ChurnEngine {
-        ChurnEngine::new(
-            base(),
-            Vec::new(),
-            EngineConfig {
-                queue_capacity,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap()
+    fn engine() -> ChurnEngine {
+        ChurnEngine::new(base(), Vec::new(), EngineConfig::default()).unwrap()
     }
 
     fn admit(name: &str, deadline: i64) -> Request {
@@ -319,7 +291,7 @@ mod tests {
 
     #[test]
     fn replies_keep_per_connection_arrival_order() {
-        let mut b = Batcher::new(engine(16), 16, 1, 3);
+        let mut b = Batcher::new(engine(), 16, 3);
         let (tx, rx) = mpsc::channel();
         for job in [
             Job {
@@ -363,7 +335,7 @@ mod tests {
 
     #[test]
     fn overload_answers_sheds_immediately_with_retry_hint() {
-        let mut b = Batcher::new(engine(16), 1, 7, 8);
+        let mut b = Batcher::new(engine(), 1, 8);
         let (tx, rx) = mpsc::channel();
         b.enqueue(
             Job {

@@ -1,5 +1,9 @@
-//! The churn engine: transactional, durable, overload-aware online
-//! admission.
+//! The churn engine: transactional, durable online admission.
+//!
+//! [`ChurnEngine::process_batch`] is the one commit path. Served
+//! requests, scripted and from a socket alike, reach it through the
+//! [`Batcher`](crate::batch::Batcher)'s bounded shed queue, which hands
+//! surviving requests over in FIFO chunks.
 //!
 //! Every `Admit`/`Release` is processed transactionally: the mutation
 //! is applied to a **staged clone** of the live network, every affected
@@ -23,8 +27,7 @@
 //! fail-stop rather than acknowledge an undurable operation.
 
 use crate::fs::StorageHandle;
-use crate::journal::{AdmitOp, Journal, JournalError, Op, TailDefect};
-use crate::queue::{Pushed, ShedQueue, DEFAULT_RETRY_SEED};
+use crate::journal::{Journal, JournalError, Op, TailDefect};
 use crate::request::{AdmitRequest, Request};
 use crate::snapshot::{self, RecoverError, Snapshot};
 use dnc_core::admission::Deadline;
@@ -43,7 +46,9 @@ pub struct EngineConfig {
     /// Per-request analysis budget (deadline, op/segment/iteration
     /// caps), shared by the whole certification chain of one request.
     pub guard: Guard,
-    /// Bound on the pending-request queue (see [`ShedQueue`]).
+    /// Ignored: the one pending-request queue is the
+    /// [`Batcher`](crate::batch::Batcher)'s, sized by its caller. Kept
+    /// only so that callers which still set it build.
     pub queue_capacity: usize,
     /// Ignored: certification is sequential. Kept only so that callers
     /// which still set it build.
@@ -54,10 +59,6 @@ pub struct EngineConfig {
     /// harness compares against. Either way the analysis memo tables are
     /// the process-wide ones every run consults.
     pub incremental: bool,
-    /// Seed for the shed queue's deterministic retry-after jitter (see
-    /// [`ShedQueue::retry_after`]). Same seed + same shed history ⇒
-    /// identical hints, so scripted runs stay bit-reproducible.
-    pub shed_seed: u64,
     /// Publish a snapshot and rotate the journal every N committed
     /// operations (`None` disables compaction). Bounds recovery cost by
     /// churn since the last snapshot instead of lifetime history.
@@ -71,7 +72,6 @@ impl Default for EngineConfig {
             queue_capacity: 64,
             workers: 1,
             incremental: true,
-            shed_seed: DEFAULT_RETRY_SEED,
             snapshot_every: None,
         }
     }
@@ -84,8 +84,6 @@ pub struct EngineStats {
     pub commits: u64,
     /// Staged mutations discarded after a failed certification.
     pub rollbacks: u64,
-    /// Requests dropped by the overload policy.
-    pub sheds: u64,
     /// Certifications that breached budget at the Integrated tier and
     /// were answered by the cheaper Decomposed retry.
     pub retries: u64,
@@ -191,7 +189,7 @@ pub enum Response {
         /// Deterministic, seed-derived retry-after hint in deadline
         /// ticks: load-proportional base plus jitter, so honest clients
         /// back off without stampeding back together (see
-        /// [`ShedQueue::retry_after`]).
+        /// [`ShedQueue::retry_after`](crate::queue::ShedQueue::retry_after)).
         retry_after: u64,
     },
 }
@@ -235,14 +233,14 @@ impl From<JournalError> for EngineError {
     }
 }
 
-/// The online churn engine. See the module docs for the transaction,
-/// durability, and overload contracts.
+/// The online churn engine. See the module docs for the transaction and
+/// durability contracts.
 #[derive(Debug)]
 pub struct ChurnEngine {
     net: Network,
     base_flows: usize,
     base_deadlines: Vec<Deadline>,
-    admitted: Vec<AdmitOp>,
+    admitted: Vec<AdmitRequest>,
     journal: Option<Journal>,
     /// Committed operations across the whole history (snapshot + live).
     committed_seq: u64,
@@ -252,7 +250,6 @@ pub struct ChurnEngine {
     gen: u64,
     snapshot_every: Option<u64>,
     runner: ResilientRunner,
-    queue: ShedQueue,
     stats: EngineStats,
     /// The group trace of the last analysis accepted for the live
     /// network — the splice base for incremental re-certification.
@@ -287,7 +284,6 @@ impl ChurnEngine {
             gen: 0,
             snapshot_every: config.snapshot_every,
             runner: ResilientRunner::new(config.guard.clone()),
-            queue: ShedQueue::with_seed(config.queue_capacity, config.shed_seed),
             stats: EngineStats::default(),
             trace: None,
             incremental: config.incremental,
@@ -370,7 +366,7 @@ impl ChurnEngine {
     fn apply_replayed(&mut self, op: &Op) -> Result<(), String> {
         match op {
             Op::Admit(a) => {
-                let flow = build_flow(&a.clone().into()).map_err(|r| r.to_string())?;
+                let flow = build_flow(a)?;
                 self.net.add_flow(flow).map_err(|e| e.to_string())?;
                 self.admitted.push(a.clone());
                 Ok(())
@@ -420,101 +416,15 @@ impl ChurnEngine {
         ds
     }
 
-    /// Enqueue a request under the overload policy. Returns the shed
-    /// response(s) produced immediately (the incoming request's, or a
-    /// displaced victim's); enqueued requests answer later via
-    /// [`ChurnEngine::drain`].
-    pub fn submit(&mut self, req: Request) -> Vec<Response> {
-        match self.queue.push(req) {
-            Pushed::Enqueued => Vec::new(),
-            Pushed::Displaced(victim) => {
-                vec![self.shed_response(victim, "displaced by a tighter-deadline admit")]
-            }
-            Pushed::Shed(incoming, reason) => {
-                let reason = reason.to_string();
-                vec![self.shed_response(incoming, &reason)]
-            }
-        }
-    }
-
-    fn shed_response(&mut self, req: Request, reason: &str) -> Response {
-        self.stats.sheds += 1;
-        dnc_telemetry::counter("service.sheds", 1);
-        let name = match req {
-            Request::Admit(a) => a.name,
-            Request::Release { name } => name,
-            Request::Query { name } => name.unwrap_or_default(),
-        };
-        Response::Shed {
-            name,
-            reason: reason.to_string(),
-            retry_after: self.queue.retry_after(),
-        }
-    }
-
-    /// Process every queued request in FIFO order.
-    ///
-    /// # Errors
-    /// Stops at the first [`EngineError`] (journal failure mid-drain);
-    /// requests already answered are lost to the caller, but engine
-    /// state stays consistent (the failed op was not committed).
-    pub fn drain(&mut self) -> Result<Vec<Response>, EngineError> {
-        let mut responses = Vec::new();
-        while let Some(req) = self.queue.pop() {
-            responses.push(self.process(req)?);
-        }
-        Ok(responses)
-    }
-
-    /// Drain the queue through the group-commit path: pop up to `max`
-    /// requests at a time and run each chunk through
-    /// [`ChurnEngine::process_batch`], so every chunk's committed ops
-    /// share one journal record and one fsync. FIFO order and response
-    /// order are identical to [`ChurnEngine::drain`].
-    ///
-    /// # Errors
-    /// As for [`ChurnEngine::process_batch`].
-    pub fn drain_batched(&mut self, max: usize) -> Result<Vec<Response>, EngineError> {
-        let max = max.max(1);
-        let mut responses = Vec::new();
-        loop {
-            let mut chunk = Vec::with_capacity(max);
-            while chunk.len() < max {
-                match self.queue.pop() {
-                    Some(req) => chunk.push(req),
-                    None => break,
-                }
-            }
-            if chunk.is_empty() {
-                return Ok(responses);
-            }
-            responses.extend(self.process_batch(chunk)?);
-        }
-    }
-
-    /// Process one request immediately (bypassing the queue).
+    /// Process one request: a group commit of one (see
+    /// [`ChurnEngine::process_batch`]), so a committed op gets its own
+    /// journal record.
     ///
     /// # Errors
     /// Only journal failures are errors; rejections are [`Response`]s.
     pub fn process(&mut self, req: Request) -> Result<Response, EngineError> {
-        match self.stage(req) {
-            Staged::Done(ack) => Ok(ack.into_response()),
-            Staged::Commit {
-                op,
-                net,
-                trace,
-                ack,
-            } => {
-                // Durability before acknowledgment: journal first, then
-                // swap the staged state in.
-                if let Some(j) = self.journal.as_mut() {
-                    j.append(&op)?;
-                }
-                self.apply_commit(&op, net, trace);
-                self.maybe_snapshot()?;
-                Ok(ack.into_response())
-            }
-        }
+        // `process_batch` answers every request, in order.
+        Ok(self.process_batch(vec![req])?.swap_remove(0))
     }
 
     /// Process a batch of requests under **group commit**: each request
@@ -529,10 +439,10 @@ impl ChurnEngine {
     ///
     /// # Errors
     /// A journal failure fails the whole batch with **nothing
-    /// acknowledged**. As with [`ChurnEngine::process`], the error is
-    /// fatal to the durability contract and the engine must be dropped
-    /// (in-memory state may already include the batch's staged
-    /// commits, but no caller ever saw them acknowledged).
+    /// acknowledged**. The error is fatal to the durability contract and
+    /// the engine must be dropped (in-memory state may already include
+    /// the batch's staged commits, but no caller ever saw them
+    /// acknowledged).
     pub fn process_batch(&mut self, reqs: Vec<Request>) -> Result<Vec<Response>, EngineError> {
         let _span = dnc_telemetry::span("service.batch");
         let mut acks = Vec::with_capacity(reqs.len());
@@ -723,10 +633,9 @@ impl ChurnEngine {
         // acknowledgment is only released after the journal fsync.
         let bound = bounds.bound(id);
         let tier = report.tier();
-        let admit_op: AdmitOp = req.into();
-        let deadline = admit_op.deadline;
+        let deadline = req.deadline;
         Staged::Commit {
-            op: Box::new(Op::Admit(admit_op)),
+            op: Box::new(Op::Admit(req)),
             net: staged,
             trace: fast.trace,
             ack: Ack::Admitted {
@@ -901,9 +810,9 @@ impl ChurnEngine {
 }
 
 /// A staged acknowledgment: everything a [`Response`] will say, held
-/// back until the journal record that justifies it is durable. Both
-/// commit paths (single-op and group commit) stage through this type,
-/// so no code path can hand out an acknowledgment before its fsync.
+/// back until the journal record that justifies it is durable. The one
+/// commit path ([`ChurnEngine::process_batch`]) stages through this
+/// type, so no acknowledgment can be handed out before its fsync.
 enum Ack {
     /// Mirrors [`Response::Admitted`].
     Admitted {
@@ -925,8 +834,8 @@ enum Ack {
 }
 
 impl Ack {
-    /// Convert into the public response — called only after the owning
-    /// commit path has made the op durable (or determined that no state
+    /// Convert into the public response — called only after the group
+    /// commit has made the op durable (or determined that no state
     /// changed).
     fn into_response(self) -> Response {
         match self {
@@ -955,9 +864,9 @@ impl Ack {
 
 /// The outcome of staging one request against the current state.
 enum Staged {
-    /// Certified: commit by journaling `op`, swapping `net`/`trace` in,
-    /// and only then releasing `ack`. The op is boxed to keep this
-    /// transient enum's variants close in size.
+    /// Certified: commit by swapping `net`/`trace` in and journaling
+    /// `op`, releasing `ack` only after the journal fsync. The op is
+    /// boxed to keep this transient enum's variants close in size.
     Commit {
         op: Box<Op>,
         net: Network,
@@ -1012,10 +921,12 @@ fn build_flow(req: &AdmitRequest) -> Result<Flow, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{Batcher, Job, Work};
     use crate::fs::ScratchDir;
     use dnc_net::Server;
     use dnc_num::{int, rat};
     use std::path::PathBuf;
+    use std::sync::mpsc;
 
     fn base() -> Network {
         let mut net = Network::new();
@@ -1226,33 +1137,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_batched_answers_like_drain_in_fifo_order() {
-        let mut a = engine();
-        let mut b = engine();
-        let reqs = || {
-            vec![
-                admit_req("x", rat(1, 32), int(50)),
-                admit_req("y", rat(1, 32), int(60)),
-                Request::Release { name: "x".into() },
-                Request::Query { name: None },
-            ]
-        };
-        for r in reqs() {
-            assert!(a.submit(r).is_empty());
-        }
-        for r in reqs() {
-            assert!(b.submit(r).is_empty());
-        }
-        let one_by_one = a.drain().unwrap();
-        let grouped = b.drain_batched(3).unwrap();
-        assert_eq!(one_by_one.len(), grouped.len());
-        for (i, (x, y)) in one_by_one.iter().zip(&grouped).enumerate() {
-            assert_eq!(format!("{x:?}"), format!("{y:?}"), "answer {i} diverged");
-        }
-        assert_eq!(a.canonical_state(), b.canonical_state());
-    }
-
-    #[test]
     fn snapshot_compaction_bounds_recovery_to_the_tail() {
         let dir = ScratchDir::new("engine-compact");
         let path = dir.join("engine.wal");
@@ -1310,63 +1194,78 @@ mod tests {
         assert_eq!(rec.network().flows().len(), 0);
     }
 
+    /// Offer `reqs` on one connection to a [`Batcher`] over a fresh
+    /// engine that holds `queue_capacity` pending jobs, then flush.
+    /// Returns the replies sent before the flush, the replies the flush
+    /// sent, and the batcher.
+    fn overload(queue_capacity: usize, reqs: Vec<Request>) -> (Vec<String>, Vec<String>, Batcher) {
+        fn render(r: &Response) -> String {
+            match r {
+                Response::Admitted { name, .. } => format!("OK {name}"),
+                Response::Shed {
+                    name, retry_after, ..
+                } => format!("SHED {name} retry {retry_after}"),
+                other => format!("{other:?}"),
+            }
+        }
+        let mut b = Batcher::new(engine(), queue_capacity, 8);
+        let (tx, rx) = mpsc::channel();
+        for req in reqs {
+            let job = Job {
+                work: Work::Op(req),
+                reply: tx.clone(),
+            };
+            b.enqueue(job, &render);
+        }
+        let before = rx.try_iter().collect();
+        b.flush(&render).unwrap();
+        (before, rx.try_iter().collect(), b)
+    }
+
     #[test]
     fn shed_responses_carry_deterministic_retry_after_hints() {
-        let cfg = EngineConfig {
-            queue_capacity: 1,
-            ..EngineConfig::default()
+        let hints = || -> Vec<u64> {
+            let mut reqs = vec![admit_req("keep", rat(1, 32), int(5))];
+            reqs.extend((0..4).map(|i| admit_req(&format!("late{i}"), rat(1, 32), int(90))));
+            let (shed, acked, b) = overload(1, reqs);
+            assert_eq!(acked, ["OK keep"]);
+            assert_eq!(b.sheds(), 4);
+            shed.iter()
+                .enumerate()
+                .map(|(i, line)| {
+                    let hint = line
+                        .strip_prefix(&format!("SHED late{i} retry "))
+                        .unwrap_or_else(|| panic!("expected a shed of late{i}, got {line}"));
+                    let hint: u64 = hint.parse().unwrap();
+                    assert!(hint > 0);
+                    hint
+                })
+                .collect()
         };
-        let hints = |seed: u64| -> Vec<u64> {
-            let mut e = ChurnEngine::new(
-                base(),
-                Vec::new(),
-                EngineConfig {
-                    shed_seed: seed,
-                    ..cfg.clone()
-                },
-            )
-            .unwrap();
-            e.submit(admit_req("keep", rat(1, 32), int(5)));
-            let mut out = Vec::new();
-            for i in 0..4 {
-                for resp in e.submit(admit_req(&format!("late{i}"), rat(1, 32), int(90))) {
-                    let Response::Shed { retry_after, .. } = resp else {
-                        panic!("expected a shed, got {resp:?}");
-                    };
-                    assert!(retry_after > 0);
-                    out.push(retry_after);
-                }
-            }
-            out
-        };
-        assert_eq!(hints(11), hints(11), "same seed must hint identically");
-        assert_ne!(hints(11), hints(12), "seeds must decorrelate the jitter");
+        // The jitter seed is fixed, so equal shed histories hint
+        // identically (seed dependence is checked in `queue`).
+        assert_eq!(
+            hints(),
+            hints(),
+            "equal shed histories must hint identically"
+        );
     }
 
     #[test]
     fn overload_sheds_loosest_admit_first() {
-        let mut e = ChurnEngine::new(
-            base(),
-            Vec::new(),
-            EngineConfig {
-                queue_capacity: 2,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(e.submit(admit_req("loose", rat(1, 32), int(90))).is_empty());
-        assert!(e.submit(admit_req("mid", rat(1, 32), int(50))).is_empty());
-        let shed = e.submit(admit_req("tight", rat(1, 32), int(10)));
-        assert_eq!(shed.len(), 1);
-        assert!(
-            matches!(&shed.first().unwrap(), Response::Shed { name, .. } if name == "loose"),
-            "{shed:?}"
-        );
-        assert_eq!(e.stats().sheds, 1);
-        let answers = e.drain().unwrap();
-        assert_eq!(answers.len(), 2);
-        assert!(answers.iter().all(Response::committed));
-        let names: Vec<_> = e.admitted().map(|q| q.name).collect();
+        let reqs = [("loose", 90), ("mid", 50), ("tight", 10)]
+            .into_iter()
+            .map(|(name, deadline)| admit_req(name, rat(1, 32), int(deadline)))
+            .collect();
+        let (shed, acked, b) = overload(2, reqs);
+        // `tight` displaces the loosest queued admit, which is answered
+        // before any flush.
+        assert_eq!(shed.len(), 1, "{shed:?}");
+        assert!(shed[0].starts_with("SHED loose retry "), "{shed:?}");
+        assert_eq!(b.sheds(), 1);
+        // The survivors commit in FIFO order.
+        assert_eq!(acked, ["OK mid", "OK tight"]);
+        let names: Vec<_> = b.engine().admitted().map(|q| q.name).collect();
         assert_eq!(names, ["mid", "tight"]);
     }
 }

@@ -45,16 +45,18 @@
 //!
 //! ## Group commit
 //!
-//! [`Journal::append`] frames one op per record; the group-commit fast
-//! path [`Journal::append_batch`] joins N encoded ops with `'\n'` into
-//! a *single* record flushed by a *single* fsync, so a batch of
-//! concurrent requests pays one disk round-trip instead of N. Replay
-//! treats the record atomically: a torn or corrupt batch contributes
-//! none of its ops, which is exactly the acknowledgment boundary — the
-//! engine only acks a batch after its record is durable, so recovered
-//! state is always a serial prefix of the acknowledged history.
+//! [`Journal::append_batch`] is the only append: it joins the encoded
+//! ops of one group commit with `'\n'` into a *single* record flushed by
+//! a *single* fsync, so a batch of concurrent requests pays one disk
+//! round-trip instead of N, and a batch of one frames exactly one op
+//! line. Replay treats the record atomically: a torn or corrupt batch
+//! contributes none of its ops, which is exactly the acknowledgment
+//! boundary — the engine only acks a batch after its record is durable,
+//! so recovered state is always a serial prefix of the acknowledged
+//! history.
 
 use crate::fs::StorageHandle;
+use crate::request::AdmitRequest;
 use dnc_net::ServerId;
 use dnc_num::Rat;
 use std::fmt;
@@ -74,29 +76,11 @@ pub const HEADER_LEN: usize = MAGIC.len();
 /// not a request (routes and names are small).
 const MAX_RECORD: u32 = 1 << 20;
 
-/// An admission request as journaled: everything needed to rebuild the
-/// flow deterministically against the base network.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AdmitOp {
-    /// Engine-level connection name (no whitespace; unique while admitted).
-    pub name: String,
-    /// Route as server indices into the base network.
-    pub route: Vec<ServerId>,
-    /// Token buckets `(σ, ρ)`.
-    pub buckets: Vec<(Rat, Rat)>,
-    /// Optional peak-rate cap.
-    pub peak: Option<Rat>,
-    /// Priority for static-priority servers.
-    pub priority: u8,
-    /// The end-to-end deadline the admission certified.
-    pub deadline: Rat,
-}
-
 /// One committed operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Op {
     /// A certified admission.
-    Admit(AdmitOp),
+    Admit(AdmitRequest),
     /// A certified release of a previously admitted connection.
     Release {
         /// The connection name as admitted.
@@ -191,7 +175,7 @@ impl Op {
                 if buckets.is_empty() {
                     return Err(bad("admit without buckets"));
                 }
-                Ok(Op::Admit(AdmitOp {
+                Ok(Op::Admit(AdmitRequest {
                     name,
                     route,
                     buckets,
@@ -559,36 +543,26 @@ impl Journal {
         Ok((journal, replay))
     }
 
-    /// Append one committed operation and flush it to stable storage.
-    /// Returns only after the record is durable.
-    pub fn append(&mut self, op: &Op) -> Result<(), JournalError> {
-        self.append_payload(&op.encode())
-    }
-
-    /// Append a whole batch of committed operations as **one** framed
-    /// record flushed by **one** fsync — the group-commit fast path.
+    /// Append one group commit's operations as **one** framed record
+    /// flushed by **one** fsync, returning only after the record is
+    /// durable — the single durability point every acknowledgment
+    /// funnels through.
     ///
     /// The payload is the newline-joined [`Op::encode`] text of every
     /// op ([`Op::encode`] never emits a newline), so the batch lands in
     /// the journal in slice order — the order the engine certified the
     /// ops — and replays atomically: a torn batch contributes none of
-    /// its ops. An empty batch writes nothing.
+    /// its ops. An empty batch writes nothing. Any storage failure
+    /// poisons the handle: the write offset may be out of sync with the
+    /// file, so no further append can be trusted.
     pub fn append_batch(&mut self, ops: &[Op]) -> Result<(), JournalError> {
         if ops.is_empty() {
             return Ok(());
         }
-        let payload = ops.iter().map(Op::encode).collect::<Vec<_>>().join("\n");
-        self.append_payload(&payload)
-    }
-
-    /// Frame `payload`, write it, and fsync — the single durability
-    /// point every acknowledgment path funnels through. Any storage
-    /// failure poisons the handle: the write offset may be out of sync
-    /// with the file, so no further append can be trusted.
-    fn append_payload(&mut self, payload: &str) -> Result<(), JournalError> {
         if let Some(why) = &self.poisoned {
             return Err(JournalError::Poisoned(why.clone()));
         }
+        let payload = ops.iter().map(Op::encode).collect::<Vec<_>>().join("\n");
         let bytes = payload.as_bytes();
         let len = u32::try_from(bytes.len())
             .map_err(|_| JournalError::BadRecord("operation payload exceeds u32 length".into()))?;
@@ -731,7 +705,7 @@ mod tests {
     }
 
     fn sample_admit(name: &str) -> Op {
-        Op::Admit(AdmitOp {
+        Op::Admit(AdmitRequest {
             name: name.into(),
             route: vec![ServerId(0), ServerId(2)],
             buckets: vec![(int(1), rat(1, 8)), (int(4), rat(1, 16))],
@@ -752,7 +726,7 @@ mod tests {
     fn ops_round_trip_through_text() {
         for op in [
             sample_admit("video-7"),
-            Op::Admit(AdmitOp {
+            Op::Admit(AdmitRequest {
                 name: "x".into(),
                 route: vec![ServerId(5)],
                 buckets: vec![(int(2), rat(3, 7))],
@@ -795,9 +769,15 @@ mod tests {
         ];
         let mut j = Journal::create(&path).unwrap();
         for op in &ops {
-            j.append(op).unwrap();
+            j.append_batch(std::slice::from_ref(op)).unwrap();
         }
         drop(j);
+        // A batch of one frames exactly its op's line: one record per op.
+        let mut want = MAGIC.to_vec();
+        for op in &ops {
+            want.extend_from_slice(&frame_record(op.encode().as_bytes()));
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), want);
         let r = replay(&path).unwrap();
         assert_eq!(r.ops, ops);
         assert!(r.tail.is_none());
@@ -810,7 +790,7 @@ mod tests {
         let ops = vec![sample_admit("a"), Op::Release { name: "a".into() }];
         let mut j = Journal::create(&path).unwrap();
         for op in &ops {
-            j.append(op).unwrap();
+            j.append_batch(std::slice::from_ref(op)).unwrap();
         }
         drop(j);
         let full = std::fs::read(&path).unwrap();
@@ -833,7 +813,7 @@ mod tests {
             drop(journal);
             assert_eq!(std::fs::metadata(&torn).unwrap().len(), r.valid_len);
             let (mut journal, _) = Journal::resume(&torn).unwrap();
-            journal.append(&sample_admit("post-crash")).unwrap();
+            journal.append_batch(&[sample_admit("post-crash")]).unwrap();
             let r2 = replay(&torn).unwrap();
             assert!(r2.tail.is_none());
             assert_eq!(r2.ops.last().unwrap(), &sample_admit("post-crash"));
@@ -844,14 +824,14 @@ mod tests {
     fn batch_append_replays_in_order_alongside_single_records() {
         let (_scratch, path) = tmp("batch_mix.wal");
         let mut j = Journal::create(&path).unwrap();
-        j.append(&sample_admit("solo")).unwrap();
+        j.append_batch(&[sample_admit("solo")]).unwrap();
         let batch = vec![
             sample_admit("a"),
             sample_admit("b"),
             Op::Release { name: "a".into() },
         ];
         j.append_batch(&batch).unwrap();
-        j.append(&Op::Release { name: "b".into() }).unwrap();
+        j.append_batch(&[Op::Release { name: "b".into() }]).unwrap();
         drop(j);
         let r = replay(&path).unwrap();
         let mut want = vec![sample_admit("solo")];
@@ -881,7 +861,7 @@ mod tests {
     fn torn_batch_is_dropped_wholesale() {
         let (_scratch, path) = tmp("batch_torn.wal");
         let mut j = Journal::create(&path).unwrap();
-        j.append(&sample_admit("committed")).unwrap();
+        j.append_batch(&[sample_admit("committed")]).unwrap();
         let intact_len = std::fs::metadata(&path).unwrap().len();
         j.append_batch(&[sample_admit("x"), sample_admit("y"), sample_admit("z")])
             .unwrap();
@@ -910,7 +890,7 @@ mod tests {
     fn batch_with_one_bad_line_is_atomic_poison() {
         let (_scratch, path) = tmp("batch_poison.wal");
         let mut j = Journal::create(&path).unwrap();
-        j.append(&sample_admit("good")).unwrap();
+        j.append_batch(&[sample_admit("good")]).unwrap();
         drop(j);
         // Hand-frame a batch whose second line does not decode: the CRC
         // is valid, so only the all-or-nothing decode rule rejects it.
@@ -932,7 +912,7 @@ mod tests {
     fn empty_payload_record_is_a_defect() {
         let (_scratch, path) = tmp("empty_record.wal");
         let mut j = Journal::create(&path).unwrap();
-        j.append(&sample_admit("a")).unwrap();
+        j.append_batch(&[sample_admit("a")]).unwrap();
         drop(j);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&0u32.to_le_bytes());
@@ -950,8 +930,8 @@ mod tests {
     fn corrupt_byte_in_tail_record_is_dropped() {
         let (_scratch, path) = tmp("corrupt.wal");
         let mut j = Journal::create(&path).unwrap();
-        j.append(&sample_admit("a")).unwrap();
-        j.append(&sample_admit("b")).unwrap();
+        j.append_batch(&[sample_admit("a")]).unwrap();
+        j.append_batch(&[sample_admit("b")]).unwrap();
         drop(j);
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 3; // inside record b's payload
@@ -992,7 +972,7 @@ mod tests {
     fn oversized_length_prefix_is_a_torn_payload() {
         let (_scratch, path) = tmp("oversized.wal");
         let mut j = Journal::create(&path).unwrap();
-        j.append(&sample_admit("a")).unwrap();
+        j.append_batch(&[sample_admit("a")]).unwrap();
         drop(j);
         let mut bytes = std::fs::read(&path).unwrap();
         // Append a frame claiming a huge payload.
@@ -1017,7 +997,7 @@ mod tests {
             let (mut j, r) = Journal::resume(&path).unwrap();
             assert!(r.ops.is_empty(), "cut at {cut}");
             assert_eq!(r.valid_len, MAGIC.len() as u64);
-            j.append(&sample_admit("a")).unwrap();
+            j.append_batch(&[sample_admit("a")]).unwrap();
             drop(j);
             assert_eq!(replay(&path).unwrap().ops.len(), 1);
         }
@@ -1032,16 +1012,17 @@ mod tests {
         let (_scratch, path) = tmp("poisoned.wal");
         let fs = Arc::new(FaultFs::new(3, FaultKind::ShortWrite));
         let mut j = Journal::create_with(&path, fs).unwrap();
-        let first = j.append(&sample_admit("a"));
+        let first = j.append_batch(&[sample_admit("a")]);
         assert!(matches!(first, Err(JournalError::Io(_))), "{first:?}");
         assert!(j.poisoned().is_some());
         // Every subsequent call fails without touching the file.
-        for _ in 0..2 {
-            let again = j.append(&sample_admit("b"));
+        for batch in [
+            vec![sample_admit("b")],
+            vec![sample_admit("b"), sample_admit("c")],
+        ] {
+            let again = j.append_batch(&batch);
             assert!(matches!(again, Err(JournalError::Poisoned(_))), "{again:?}");
         }
-        let batch = j.append_batch(&[sample_admit("c")]);
-        assert!(matches!(batch, Err(JournalError::Poisoned(_))));
         assert!(matches!(j.rotate(1, 1), Err(JournalError::Poisoned(_))));
         drop(j);
         // The torn record is detected and truncated by recovery.
@@ -1058,11 +1039,11 @@ mod tests {
         let fs = Arc::new(FaultFs::new(4, FaultKind::Eio));
         let mut j = Journal::create_with(&path, fs).unwrap();
         assert!(matches!(
-            j.append(&sample_admit("a")),
+            j.append_batch(&[sample_admit("a")]),
             Err(JournalError::Io(_))
         ));
         assert!(matches!(
-            j.append(&sample_admit("b")),
+            j.append_batch(&[sample_admit("b")]),
             Err(JournalError::Poisoned(_))
         ));
     }
@@ -1071,7 +1052,7 @@ mod tests {
     fn epoch_record_round_trips_and_survives_appends() {
         let (_scratch, path) = tmp("epoch.wal");
         let mut j = Journal::create_at(&path, crate::fs::real(), 3, 17).unwrap();
-        j.append(&sample_admit("a")).unwrap();
+        j.append_batch(&[sample_admit("a")]).unwrap();
         drop(j);
         let r = replay(&path).unwrap();
         assert_eq!((r.gen, r.base_seq), (3, 17));
@@ -1080,7 +1061,7 @@ mod tests {
         // Resume lands after the epoch and keeps appending.
         let (mut j, r) = Journal::resume(&path).unwrap();
         assert_eq!((r.gen, r.base_seq), (3, 17));
-        j.append(&Op::Release { name: "a".into() }).unwrap();
+        j.append_batch(&[Op::Release { name: "a".into() }]).unwrap();
         drop(j);
         assert_eq!(replay(&path).unwrap().ops.len(), 2);
     }
@@ -1089,10 +1070,10 @@ mod tests {
     fn rotation_moves_the_segment_aside_and_starts_a_fresh_epoch() {
         let (_scratch, path) = tmp("rotate.wal");
         let mut j = Journal::create(&path).unwrap();
-        j.append(&sample_admit("a")).unwrap();
-        j.append(&sample_admit("b")).unwrap();
+        j.append_batch(&[sample_admit("a")]).unwrap();
+        j.append_batch(&[sample_admit("b")]).unwrap();
         j.rotate(1, 2).unwrap();
-        j.append(&Op::Release { name: "a".into() }).unwrap();
+        j.append_batch(&[Op::Release { name: "a".into() }]).unwrap();
         drop(j);
         let prev = replay(&sibling(&path, "prev")).unwrap();
         assert_eq!(prev.ops.len(), 2);
@@ -1106,7 +1087,7 @@ mod tests {
     fn epoch_after_first_record_is_a_defect() {
         let (_scratch, path) = tmp("late_epoch.wal");
         let mut j = Journal::create(&path).unwrap();
-        j.append(&sample_admit("a")).unwrap();
+        j.append_batch(&[sample_admit("a")]).unwrap();
         drop(j);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&frame_record(b"epoch 1 1"));

@@ -19,9 +19,11 @@
 //!   inject storage faults at every enumerated syscall site; a failed
 //!   append or publish poisons the journal handle and the server
 //!   fail-stops rather than acknowledge an undurable operation.
-//! * **Overload control** ([`queue`]): a bounded queue sheds the
-//!   loosest-deadline admits first; certification runs under
-//!   per-request budgets with one retry at a cheaper analysis tier.
+//! * **Overload control** ([`queue`], [`batch`]): served requests,
+//!   scripted or from a socket, reach the engine through the
+//!   [`Batcher`]'s one bounded queue, which sheds the loosest-deadline
+//!   admits first; certification runs under per-request budgets with
+//!   one retry at a cheaper analysis tier.
 
 #![warn(missing_docs)]
 
@@ -37,7 +39,7 @@ pub mod snapshot;
 pub use batch::{Batcher, Job, RenderFn, Work, FAIL_STOP_PREFIX};
 pub use engine::{ChurnEngine, EngineConfig, EngineError, EngineStats, RecoveryInfo, Response};
 pub use fs::{FaultFs, FaultKind, RealFs, StorageFs, StorageHandle, FAULT_KINDS};
-pub use journal::{AdmitOp, Journal, JournalError, Op, Replay, TailDefect};
+pub use journal::{Journal, JournalError, Op, Replay, TailDefect};
 pub use queue::{Pushed, ShedQueue, ShedReason, Sheddable};
 pub use request::{AdmitRequest, Request};
 pub use server::{DecodeFn, ServerConfig, ServerError, ServerReport};

@@ -1,6 +1,7 @@
 //! Bounded request queue with deadline-aware load shedding.
 //!
-//! The churn engine admits work through this queue. Overload policy:
+//! Served requests reach the churn engine through this queue, owned by
+//! the one [`Batcher`](crate::batch::Batcher). Overload policy:
 //!
 //! * `Release` and `Query` requests are **never shed** — releases free
 //!   capacity (shedding them makes overload worse) and queries are
@@ -24,9 +25,9 @@
 //! seed and shed history always produce the same hints, keeping scripted
 //! runs and falsifiers bit-reproducible.
 //!
-//! The queue is generic over its item: the engine queues bare
-//! [`Request`]s, while the socket front end queues requests still
-//! attached to their reply channels. Anything [`Sheddable`] works.
+//! The queue is generic over its item: the batcher queues requests still
+//! attached to their reply channels, and the tests queue bare
+//! [`Request`]s. Anything [`Sheddable`] works.
 
 use crate::request::Request;
 use dnc_num::Rat;
@@ -94,8 +95,7 @@ pub struct ShedQueue<T = Request> {
 }
 
 /// Default seed for [`ShedQueue::new`] — any fixed value works; shared
-/// (and exported for `EngineConfig`'s default) so two engines built
-/// from the same config hint identically.
+/// so that two queues given the same shed history hint identically.
 pub const DEFAULT_RETRY_SEED: u64 = 0x5EED_0BAC_C0FF_EE01;
 
 impl<T: Sheddable> ShedQueue<T> {

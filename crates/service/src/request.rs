@@ -1,11 +1,13 @@
 //! The churn engine's request vocabulary.
 
-use crate::journal::AdmitOp;
 use dnc_net::ServerId;
 use dnc_num::Rat;
 
 /// A connection admission request: the traffic contract, the route, and
-/// the end-to-end deadline to certify.
+/// the end-to-end deadline to certify. Once certified it is also the
+/// committed record: the journal's [`Op::Admit`](crate::journal::Op),
+/// a snapshot's admit lines and the engine's admitted list hold it
+/// as is.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AdmitRequest {
     /// Connection name — the engine's identity for later release
@@ -21,32 +23,6 @@ pub struct AdmitRequest {
     pub priority: u8,
     /// End-to-end deadline, in ticks.
     pub deadline: Rat,
-}
-
-impl From<AdmitRequest> for AdmitOp {
-    fn from(r: AdmitRequest) -> AdmitOp {
-        AdmitOp {
-            name: r.name,
-            route: r.route,
-            buckets: r.buckets,
-            peak: r.peak,
-            priority: r.priority,
-            deadline: r.deadline,
-        }
-    }
-}
-
-impl From<AdmitOp> for AdmitRequest {
-    fn from(op: AdmitOp) -> AdmitRequest {
-        AdmitRequest {
-            name: op.name,
-            route: op.route,
-            buckets: op.buckets,
-            peak: op.peak,
-            priority: op.priority,
-            deadline: op.deadline,
-        }
-    }
 }
 
 /// One request to the churn engine.

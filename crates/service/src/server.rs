@@ -64,8 +64,6 @@ pub struct ServerConfig {
     pub max_conns: usize,
     /// Pending-job capacity of the shed queue.
     pub queue_capacity: usize,
-    /// Seed for deterministic retry-after hints on SHED replies.
-    pub shed_seed: u64,
     /// Close a connection silent for this long (zero = never).
     pub idle_timeout: Duration,
     /// Per-connection socket write deadline (zero = none).
@@ -80,7 +78,6 @@ impl Default for ServerConfig {
             batch: 8,
             max_conns: 64,
             queue_capacity: 64,
-            shed_seed: crate::queue::DEFAULT_RETRY_SEED,
             idle_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
             drain_timeout: Duration::from_secs(5),
@@ -170,7 +167,7 @@ pub fn run(
 ) -> Result<(ChurnEngine, ServerReport), ServerError> {
     let _span = dnc_telemetry::span("server.run");
     listener.set_nonblocking(true)?;
-    let mut batcher = Batcher::new(engine, cfg.queue_capacity, cfg.shed_seed, cfg.batch);
+    let mut batcher = Batcher::new(engine, cfg.queue_capacity, cfg.batch);
     let tallies = Arc::new(Tallies::default());
     let (job_tx, job_rx) = mpsc::channel::<Job>();
 
@@ -454,7 +451,7 @@ mod tests {
             return Ok(Request::Query { name: None });
         }
         match Op::decode(line) {
-            Ok(Op::Admit(a)) => Ok(Request::Admit(a.into())),
+            Ok(Op::Admit(a)) => Ok(Request::Admit(a)),
             Ok(Op::Release { name }) => Ok(Request::Release { name }),
             Err(e) => Err(format!("ERR     {e}")),
         }
@@ -504,6 +501,8 @@ mod tests {
         (addr, handle)
     }
 
+    /// Send `lines`, half-close (so the server's reader ends at once
+    /// instead of at the idle timeout), and read replies until EOF.
     fn send_script(addr: SocketAddr, lines: &[String]) -> Vec<String> {
         let stream = TcpStream::connect(addr).unwrap();
         let mut w = stream.try_clone().unwrap();
@@ -511,6 +510,8 @@ mod tests {
             writeln!(w, "{l}").unwrap();
         }
         w.flush().unwrap();
+        // A connection turned away at the cap may already be closed.
+        let _ = w.shutdown(std::net::Shutdown::Write);
         let reader = BufReader::new(stream);
         reader.lines().map(|l| l.unwrap()).collect()
     }

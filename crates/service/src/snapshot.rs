@@ -46,8 +46,9 @@
 
 use crate::fs::StorageFs;
 use crate::journal::{
-    self, frame_record, parent_dir, sibling, AdmitOp, Journal, JournalError, Op, Replay, TailDefect,
+    self, frame_record, parent_dir, sibling, Journal, JournalError, Op, Replay, TailDefect,
 };
+use crate::request::AdmitRequest;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Read};
@@ -71,7 +72,7 @@ pub struct Snapshot {
     /// recovery refuses a snapshot taken over a different base.
     pub base_flows: usize,
     /// Every admitted connection, in admission order.
-    pub admits: Vec<AdmitOp>,
+    pub admits: Vec<AdmitRequest>,
 }
 
 /// Errors raised by snapshot encoding, decoding, and publication.
@@ -495,8 +496,8 @@ mod tests {
     use dnc_num::{int, rat};
     use std::sync::Arc;
 
-    fn admit(name: &str) -> AdmitOp {
-        AdmitOp {
+    fn admit(name: &str) -> AdmitRequest {
+        AdmitRequest {
             name: name.into(),
             route: vec![ServerId(0), ServerId(1)],
             buckets: vec![(int(1), rat(1, 8))],
@@ -607,8 +608,8 @@ mod tests {
         let dir = ScratchDir::new("snap-recover_tail");
         let jpath = dir.join("engine.wal");
         let mut j = Journal::create(&jpath).unwrap();
-        j.append(&Op::Admit(admit("a"))).unwrap();
-        j.append(&Op::Admit(admit("b"))).unwrap();
+        j.append_batch(&[Op::Admit(admit("a"))]).unwrap();
+        j.append_batch(&[Op::Admit(admit("b"))]).unwrap();
         let snap = Snapshot {
             gen: 1,
             seq: 2,
@@ -617,7 +618,7 @@ mod tests {
         };
         publish_snapshot(&crate::fs::RealFs, &jpath, &snap).unwrap();
         j.rotate(1, 2).unwrap();
-        j.append(&Op::Release { name: "a".into() }).unwrap();
+        j.append_batch(&[Op::Release { name: "a".into() }]).unwrap();
         drop(j);
         let r = recover(&jpath, crate::fs::real()).unwrap();
         assert_eq!(r.snapshot.as_ref().map(|s| (s.gen, s.seq)), Some((1, 2)));
@@ -632,7 +633,7 @@ mod tests {
         let dir = ScratchDir::new("snap-recover_torn");
         let jpath = dir.join("engine.wal");
         let mut j = Journal::create(&jpath).unwrap();
-        j.append(&Op::Admit(admit("a"))).unwrap();
+        j.append_batch(&[Op::Admit(admit("a"))]).unwrap();
         publish_snapshot(
             &crate::fs::RealFs,
             &jpath,
@@ -644,7 +645,7 @@ mod tests {
             },
         )
         .unwrap();
-        j.append(&Op::Admit(admit("b"))).unwrap();
+        j.append_batch(&[Op::Admit(admit("b"))]).unwrap();
         drop(j);
         // Generation 2 exists but is torn: recovery must fall back to
         // generation 1 and replay the one op past it.
@@ -664,8 +665,8 @@ mod tests {
         let dir = ScratchDir::new("snap-recover_stitch");
         let jpath = dir.join("engine.wal");
         let mut j = Journal::create(&jpath).unwrap();
-        j.append(&Op::Admit(admit("a"))).unwrap();
-        j.append(&Op::Admit(admit("b"))).unwrap();
+        j.append_batch(&[Op::Admit(admit("a"))]).unwrap();
+        j.append_batch(&[Op::Admit(admit("b"))]).unwrap();
         publish_snapshot(
             &crate::fs::RealFs,
             &jpath,
@@ -687,7 +688,7 @@ mod tests {
         assert!(!sibling(&jpath, "new").exists(), "staging must be cleaned");
         // The re-created journal accepts appends and carries the epoch.
         let mut j = r.journal;
-        j.append(&Op::Release { name: "a".into() }).unwrap();
+        j.append_batch(&[Op::Release { name: "a".into() }]).unwrap();
         drop(j);
         let again = recover(&jpath, crate::fs::real()).unwrap();
         assert_eq!(again.committed_seq, 3);
@@ -703,7 +704,7 @@ mod tests {
         let dir = ScratchDir::new("snap-recover_prev_mid");
         let jpath = dir.join("engine.wal");
         let mut j = Journal::create(&jpath).unwrap();
-        j.append(&Op::Admit(admit("a"))).unwrap();
+        j.append_batch(&[Op::Admit(admit("a"))]).unwrap();
         publish_snapshot(
             &crate::fs::RealFs,
             &jpath,
@@ -715,9 +716,9 @@ mod tests {
             },
         )
         .unwrap();
-        j.append(&Op::Admit(admit("b"))).unwrap();
+        j.append_batch(&[Op::Admit(admit("b"))]).unwrap();
         j.rotate(2, 2).unwrap();
-        j.append(&Op::Release { name: "a".into() }).unwrap();
+        j.append_batch(&[Op::Release { name: "a".into() }]).unwrap();
         drop(j);
         // Remove the gen-2 snapshot? There is none: rotate(2, 2) was
         // called without publishing gen 2, so gen 1 must stitch across
@@ -737,7 +738,7 @@ mod tests {
         let dir = ScratchDir::new("snap-recover_refuse");
         let jpath = dir.join("engine.wal");
         let mut j = Journal::create_at(&jpath, crate::fs::real(), 3, 40).unwrap();
-        j.append(&Op::Admit(admit("z"))).unwrap();
+        j.append_batch(&[Op::Admit(admit("z"))]).unwrap();
         drop(j);
         match recover(&jpath, crate::fs::real()) {
             Err(RecoverError::Layout(_)) => {}
@@ -750,8 +751,8 @@ mod tests {
         let dir = ScratchDir::new("snap-recover_full");
         let jpath = dir.join("engine.wal");
         let mut j = Journal::create(&jpath).unwrap();
-        j.append(&Op::Admit(admit("a"))).unwrap();
-        j.append(&Op::Release { name: "a".into() }).unwrap();
+        j.append_batch(&[Op::Admit(admit("a"))]).unwrap();
+        j.append_batch(&[Op::Release { name: "a".into() }]).unwrap();
         drop(j);
         let r = recover(&jpath, crate::fs::real()).unwrap();
         assert!(r.snapshot.is_none());
@@ -769,8 +770,8 @@ mod tests {
                 let dir = ScratchDir::new("snap-faulted_pub");
                 let jpath = dir.join("engine.wal");
                 let mut j = Journal::create(&jpath).unwrap();
-                j.append(&Op::Admit(admit("a"))).unwrap();
-                j.append(&Op::Admit(admit("b"))).unwrap();
+                j.append_batch(&[Op::Admit(admit("a"))]).unwrap();
+                j.append_batch(&[Op::Admit(admit("b"))]).unwrap();
                 drop(j);
                 let fs: crate::fs::StorageHandle = Arc::new(FaultFs::new(site, kind));
                 let (mut j, _) = Journal::resume_with(&jpath, fs.clone()).unwrap();
@@ -791,7 +792,7 @@ mod tests {
                     r.committed_seq, 2,
                     "{kind} at site {site}: committed ops lost"
                 );
-                let mut state: Vec<AdmitOp> = r.snapshot.map(|s| s.admits).unwrap_or_default();
+                let mut state: Vec<AdmitRequest> = r.snapshot.map(|s| s.admits).unwrap_or_default();
                 for op in &r.tail_ops {
                     match op {
                         Op::Admit(a) => state.push(a.clone()),

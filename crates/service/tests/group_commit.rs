@@ -37,7 +37,7 @@ fn base() -> dnc_net::Network {
 
 fn decode(line: &str) -> Result<Request, String> {
     match Op::decode(line) {
-        Ok(Op::Admit(a)) => Ok(Request::Admit(a.into())),
+        Ok(Op::Admit(a)) => Ok(Request::Admit(a)),
         Ok(Op::Release { name }) => Ok(Request::Release { name }),
         Err(e) => Err(format!("ERR {e}")),
     }

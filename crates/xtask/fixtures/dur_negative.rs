@@ -10,8 +10,8 @@ pub fn persist(f: &mut std::fs::File, buf: &[u8]) -> std::io::Result<()> {
     f.sync_data()
 }
 
-pub fn admit(j: &mut Journal, op: AdmitOp) -> Response {
-    j.append(&op).ok();
+pub fn admit(j: &mut Journal, ops: Vec<Op>) -> Response {
+    j.append_batch(&ops).ok();
     Response::Admitted { index: 0 }
 }
 

@@ -14,8 +14,8 @@ pub fn persist(f: &mut std::fs::File, buf: &[u8]) -> std::io::Result<()> {
     f.write_all(buf)
 }
 
-pub fn admit(j: &mut Journal, op: AdmitOp) -> Response {
+pub fn admit(j: &mut Journal, ops: Vec<Op>) -> Response {
     let resp = Response::Admitted { index: 0 };
-    j.append(&op).ok();
+    j.append_batch(&ops).ok();
     resp
 }

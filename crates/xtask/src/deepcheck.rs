@@ -92,9 +92,9 @@ const FRAMING_HOME: &str = "crates/service/src/journal.rs";
 /// the same body that (transitively) reaches one of [`COMMIT_CALLS`].
 const ACK_SINKS: &[&str] = &["send_acks"];
 
-/// Calls that make queued operations durable: the WAL appends (which
-/// fsync internally) and the raw fsync primitives themselves.
-const COMMIT_CALLS: &[&str] = &["append", "append_batch", "sync_data", "sync_all"];
+/// Calls that make queued operations durable: the WAL append (which
+/// fsyncs internally) and the raw fsync primitives themselves.
+const COMMIT_CALLS: &[&str] = &["append_batch", "sync_data", "sync_all"];
 
 /// The deepcheck tool itself mentions the framing needles (below) and
 /// must not flag its own configuration.
@@ -634,7 +634,7 @@ fn lint_dur_fsync(files: &[ScannedFile], idx: &SymbolIndex, out: &mut Vec<Findin
                         writes.push(i)
                     }
                     "sync_data" | "sync_all" => syncs.push(i),
-                    "append" if first_append.is_none() => first_append = Some(i),
+                    "append_batch" if first_append.is_none() => first_append = Some(i),
                     _ => {}
                 }
             }
@@ -809,7 +809,7 @@ fn lint_dur_group_ack(files: &[ScannedFile], idx: &SymbolIndex, out: &mut Vec<Fi
                     "dur-group-ack",
                     format!(
                         "`{}` acknowledges client operations in `{}` with no dominating \
-                         journal commit; a call reaching `append_batch`/`append`/fsync must \
+                         journal commit; a call reaching `append_batch`/fsync must \
                          come earlier in the function",
                         toks[i].text, d.name
                     ),
@@ -1312,7 +1312,7 @@ mod tests {
             "crates/service/src/bad2.rs",
             "pub fn admit(j: &mut J) -> Response {\n\
                  let resp = Response::Admitted { id: 1 };\n\
-                 j.append(&op());\n\
+                 j.append_batch(&ops());\n\
                  resp\n\
              }\n",
         )];
@@ -1326,7 +1326,7 @@ mod tests {
         let files = vec![scan(
             "crates/service/src/good2.rs",
             "pub fn admit(j: &mut J) -> Response {\n\
-                 j.append(&op());\n\
+                 j.append_batch(&ops());\n\
                  Response::Admitted { id: 1 }\n\
              }\n\
              pub fn committed(r: &Response) -> bool {\n\
@@ -1721,8 +1721,8 @@ mod tests {
         assert!(clean.is_empty(), "pristine engine must pass: {clean:?}");
 
         let mutated = src.replace(
-            "admitted: Vec<AdmitOp>",
-            "admitted: HashMap<usize, AdmitOp>",
+            "admitted: Vec<AdmitRequest>",
+            "admitted: HashMap<usize, AdmitRequest>",
         );
         assert_ne!(mutated, src, "ordered-collection mutation must apply");
         let f = run(&[scan(path, &mutated)]);
