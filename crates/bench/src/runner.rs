@@ -458,12 +458,10 @@ mod tests {
                 "{algo}"
             );
         }
-        for stage in ["profile", "throughput"] {
-            assert!(
-                tp.metrics[&format!("{stage}.intern_added")] > 0.0,
-                "{stage}"
-            );
-        }
+        // Which stages intern nothing is asserted in a fresh process
+        // (`bench_cli`): here other tests intern concurrently.
+        assert!(tp.metrics["profile.intern_added"] > 0.0);
+        assert!(tp.metrics.contains_key("throughput.intern_added"));
         let socket: Vec<&String> = tp
             .metrics
             .keys()

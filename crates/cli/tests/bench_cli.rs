@@ -59,6 +59,15 @@ fn bench_then_gate_passes() {
     let first = bench(&dir, false);
     assert_eq!(first.status.code(), Some(exit::OK), "{}", report(&first));
     assert!(report(&first).contains("no pinned record"));
+    // Only the profile's service-curve and FIFO-family work interns
+    // curves: every FIFO certification takes the one-pass deviation.
+    let tp = &load_trajectory(&dir.join("BENCH_throughput.json")).unwrap()[0];
+    let churn = &load_trajectory(&dir.join("BENCH_churn.json")).unwrap()[0];
+    assert!(tp.metrics["profile.intern_added"] > 0.0);
+    for (record, stage) in [(tp, "throughput"), (churn, "chaos"), (churn, "churn")] {
+        let added = record.metrics[&format!("{stage}.intern_added")];
+        assert_eq!(added, 0.0, "{stage} interned {added} curves");
+    }
     let gated = bench(&dir, true);
     assert_eq!(gated.status.code(), Some(exit::OK), "{}", report(&gated));
     assert_eq!(

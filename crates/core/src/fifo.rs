@@ -20,14 +20,6 @@ pub enum OutputCap {
     ShiftRateCapped,
 }
 
-/// Encode an [`OutputCap`] as a memo-key word.
-pub(crate) fn cap_word(cap: OutputCap) -> u64 {
-    match cap {
-        OutputCap::Shift => 0,
-        OutputCap::ShiftRateCapped => 1,
-    }
-}
-
 /// Sum the arrival curves of a set of flows; the zero curve for an empty
 /// set. The aggregate is concave and nondecreasing when every input is.
 pub fn aggregate_curve<'a, I: IntoIterator<Item = &'a Curve>>(curves: I) -> Curve {

@@ -48,30 +48,22 @@
 //! *compute* step (reads the shared propagation state, returns
 //! [`StageEntry`] records) and a deterministic *apply* step (pushes
 //! stages and advances propagation in a fixed order). One sequential
-//! loop walks the units in order; the split is what enables, without
-//! ever changing a bound (DESIGN.md §13):
-//!
-//! * **memoization** — the pair bound is a pure function of its
-//!   operand curves, so [`pair_delay_bound_curves`] keeps one global
-//!   memo table keyed structurally, and every run (one-shot
-//!   [`DelayAnalysis::analyze`], incremental re-certification, the
-//!   admission engine) consults it;
-//! * **incremental re-certification**
-//!   ([`Integrated::analyze_incremental`]) — replay the recorded
-//!   [`GroupTrace`] for units outside the mutated flow's downstream
-//!   closure, recompute only the dirty ones.
+//! loop walks the units in order; the split is what enables
+//! **incremental re-certification** ([`Integrated::analyze_incremental`])
+//! without ever changing a bound (DESIGN.md §13): replay the recorded
+//! [`GroupTrace`] for units outside the mutated flow's downstream
+//! closure, recompute only the dirty ones. A FIFO pair bound is three
+//! horizontal deviations that each take the one-pass form (DESIGN.md
+//! §18.2), so it is recomputed rather than memoized.
 
 use crate::decomposed::local_delays;
-use crate::fifo::cap_word;
 use crate::propagate::Propagation;
 use crate::{fifo, AnalysisError, AnalysisReport, DelayAnalysis, FlowReport, OutputCap};
-use dnc_curves::cache::{CacheKey, CurveCache};
-use dnc_curves::{bounds, limits, Curve, CurveError};
+use dnc_curves::{bounds, Curve, CurveError};
 use dnc_net::pairing::{classify_pair_flows, partition, Group, PairingStrategy};
 use dnc_net::{Discipline, FlowId, Network, ServerId};
 use dnc_num::Rat;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::LazyLock;
 
 /// The three delay figures of one analyzed pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,10 +124,6 @@ pub fn pair_delay_bound(
 /// class must be FIFO (true per priority level of an SP server). Arrival
 /// aggregates are nondecreasing arrival curves; `β₁`, `β₂` are
 /// nondecreasing service curves.
-///
-/// Memoized process-wide; a hit charges the [`limits`] budget exactly as
-/// computing the bound would, and under `debug-invariants` is recomputed
-/// and asserted equal.
 pub fn pair_delay_bound_curves(
     f12: &Curve,
     f1: &Curve,
@@ -146,65 +134,8 @@ pub fn pair_delay_bound_curves(
     cap: OutputCap,
 ) -> Result<PairBound, CurveError> {
     assert!(c1_total.is_positive(), "server-1 rate must be positive");
-    let key = CacheKey::new("core.pair_bound")
-        .curve(f12)
-        .curve(f1)
-        .curve(f2)
-        .curve(beta1)
-        .curve(beta2)
-        .rat(c1_total)
-        .word(cap_word(cap));
-    if let Some(hit) = PAIR_MEMO.lookup(&key) {
-        if dnc_curves::invariant::ENABLED {
-            // Recompute and compare; the recomputation's three `hdev`
-            // calls charge the budget exactly as the replay below does.
-            dnc_curves::invariant::same_as_general("core.pair_bound", &Ok(hit), || {
-                pair_bound_core(f12, f1, f2, c1_total, beta1, beta2, cap)
-            });
-        } else {
-            // Charge the budget as the three `hdev` calls did, so an op
-            // or segment cap trips at the same point whether the memo is
-            // warm or cold.
-            for width in hit.widths {
-                limits::checkpoint(width);
-            }
-        }
-        return Ok(hit.bound);
-    }
     let _span = dnc_telemetry::span("core.pair_bound");
     dnc_telemetry::counter("core.pair_bound.calls", 1);
-    let entry = pair_bound_core(f12, f1, f2, c1_total, beta1, beta2, cap)?;
-    PAIR_MEMO.insert(key, entry);
-    Ok(entry.bound)
-}
-
-/// Memo for [`pair_delay_bound_curves`], which on-line admission
-/// re-evaluates on every request. The key holds every input and no
-/// network coordinate, so FIFO pairs and static-priority levels share
-/// one key format (DESIGN.md §13.1).
-static PAIR_MEMO: LazyLock<CurveCache<PairEntry>> = LazyLock::new(CurveCache::default);
-
-/// A memoized pair bound plus the operand widths its three `hdev` calls
-/// charged to [`limits::checkpoint`], replayed on a hit.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct PairEntry {
-    bound: PairBound,
-    widths: [usize; 3],
-}
-
-/// The two-server bound itself (see [`pair_delay_bound_curves`]; opens
-/// no span of its own, and charges the budget only through its `hdev`
-/// calls).
-fn pair_bound_core(
-    f12: &Curve,
-    f1: &Curve,
-    f2: &Curve,
-    c1_total: Rat,
-    beta1: &Curve,
-    beta2: &Curve,
-    cap: OutputCap,
-) -> Result<PairEntry, CurveError> {
-    let width = |alpha: &Curve, beta: &Curve| alpha.points().len() + beta.points().len();
     let g1 = f12.add(f1);
     let d1 = bounds::hdev(&g1, beta1)?;
 
@@ -219,10 +150,7 @@ fn pair_bound_core(
     let inner = bounds::hdev(&m, beta2)?;
     let through = (d1 + inner).min(d1 + d2);
 
-    Ok(PairEntry {
-        bound: PairBound { d1, d2, through },
-        widths: [width(&g1, beta1), width(&g2, beta2), width(&m, beta2)],
-    })
+    Ok(PairBound { d1, d2, through })
 }
 
 /// Algorithm Integrated.
@@ -690,6 +618,7 @@ impl Integrated {
 mod tests {
     use super::*;
     use crate::decomposed::Decomposed;
+    use dnc_curves::limits;
     use dnc_net::builders;
     use dnc_num::{int, rat};
     use dnc_traffic::TrafficSpec;
@@ -887,68 +816,10 @@ mod tests {
     }
 
     #[test]
-    fn cached_equals_uncached_and_hits_across_runs() {
-        // Inputs that each differ from the first in one key part, each
-        // part changing the bound: a key missing any part makes two of
-        // them collide, and the memo then answers one with the other's
-        // bound. Warm the memo with all of them, then compare every
-        // memoized answer with the uncached computation.
-        type Input = (Curve, Curve, Curve, Rat, Curve, Curve, OutputCap);
-        let memoized = |(f12, f1, f2, c1, b1, b2, cap): &Input| {
-            pair_delay_bound_curves(f12, f1, f2, *c1, b1, b2, *cap).unwrap()
-        };
-        let uncached = |(f12, f1, f2, c1, b1, b2, cap): &Input| {
-            pair_bound_core(f12, f1, f2, *c1, b1, b2, *cap)
-                .unwrap()
-                .bound
-        };
-        let tb = |s: i64| Curve::token_bucket(int(s), rat(1, 7));
-        let (rate, slow) = (Curve::rate(int(1)), Curve::rate_latency(int(1), int(1)));
-        let base: Input = (
-            tb(5),
-            tb(2),
-            tb(3),
-            int(1),
-            rate.clone(),
-            rate,
-            OutputCap::Shift,
-        );
-        let mut inputs = vec![base; 8];
-        inputs[1].0 = tb(6);
-        inputs[2].1 = tb(3);
-        inputs[3].2 = tb(4);
-        inputs[4].3 = int(2);
-        inputs[5].4 = slow.clone();
-        inputs[6].5 = slow;
-        inputs[7].6 = OutputCap::ShiftRateCapped;
-        for (part, input) in inputs.iter().enumerate().skip(1) {
-            assert_ne!(uncached(input), uncached(&inputs[0]), "key part {part}");
-        }
-        for input in &inputs {
-            memoized(input);
-        }
-        for input in &inputs {
-            assert_eq!(
-                memoized(input),
-                uncached(input),
-                "memo answer for {input:?}"
-            );
-        }
-
-        // Whole analyses: the first run fills the memo, the second answers
-        // every pair from it (counted in tests/pair_memo.rs).
-        let t = builders::tandem(6, int(1), rat(1, 16), builders::TandemOptions::default());
-        let cold = Integrated::paper().analyze(&t.net).unwrap();
-        assert!(!PAIR_MEMO.is_empty(), "first run must populate the memo");
-        let warm = Integrated::paper().analyze(&t.net).unwrap();
-        assert_eq!(cold, warm, "memo hits must be Rat-exact");
-    }
-
-    #[test]
-    fn pair_memo_hit_charges_the_budget_like_a_miss() {
-        // An op cap that the cold computation breaches must breach on a
-        // warm memo too, so which tier answers never depends on what the
-        // process computed before.
+    fn pair_bound_charges_the_budget_per_hdev_call() {
+        // A pair bound charges its three `hdev` calls to the op budget on
+        // every computation, so an op cap trips at the same point however
+        // often the process computed the same bound before.
         let f12 = Curve::token_bucket(int(5), rat(1, 7));
         let f1 = Curve::token_bucket(int(2), rat(1, 7));
         let f2 = Curve::token_bucket(int(3), rat(1, 7));
@@ -960,8 +831,8 @@ mod tests {
             });
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(bound)).is_ok()
         };
-        assert!(bound().is_ok(), "warm the memo");
-        assert!(!capped(2), "a hit must charge all three hdev calls");
+        assert!(bound().is_ok());
+        assert!(!capped(2), "a repeat must charge all three hdev calls");
         assert!(capped(3));
     }
 

@@ -48,23 +48,14 @@ impl<'a> Propagation<'a> {
     }
 
     /// Record that `flow` cleared `server` within `delay`, installing its
-    /// constraint at the next hop (if any).
+    /// constraint at the next hop. Past the flow's last hop nothing reads
+    /// the output constraint, so none is computed.
     pub(crate) fn advance(&mut self, flow: FlowId, server: ServerId, delay: Rat) {
         let hop = self
             .net
             .hop_index(flow, server)
             .unwrap_or_else(|| panic!("{flow} does not traverse {server}")); // audit: allow(panic, documented panic: topological-order precondition of Propagation)
-        let rate = self.net.server(server).rate;
-        let next = {
-            let cur = self.curves[flow.0][hop] // audit: allow(index, curves[f] has one slot per route hop; hop comes from hop_index on the same route)
-                .as_ref()
-                .expect("advance past unanalyzed hop"); // audit: allow(expect, documented panic: topological-order precondition of Propagation)
-            propagate_output(cur, delay, rate, self.cap)
-        };
-        // audit: allow(index, curves[f] has one slot per route hop; hop comes from hop_index on the same route)
-        if hop + 1 < self.curves[flow.0].len() {
-            self.curves[flow.0][hop + 1] = Some(next); // audit: allow(index, curves[f] has one slot per route hop; hop comes from hop_index on the same route)
-        }
+        self.install(flow, hop, hop + 1, delay, self.net.server(server).rate);
     }
 
     /// Like [`Propagation::advance`] but jumps **two** hops at once (a
@@ -86,16 +77,24 @@ impl<'a> Propagation<'a> {
             Some(&second),
             "advance_pair: servers not consecutive on the route"
         );
-        let rate = self.net.server(second).rate;
-        let next = {
-            let cur = self.curves[flow.0][hop] // audit: allow(index, curves[f] has one slot per route hop; hop comes from hop_index on the same route)
-                .as_ref()
-                .expect("advance_pair past unanalyzed hop"); // audit: allow(expect, documented panic: topological-order precondition of Propagation)
-            propagate_output(cur, delay, rate, self.cap)
-        };
-        // audit: allow(index, curves[f] has one slot per route hop; hop comes from hop_index on the same route)
-        if hop + 2 < self.curves[flow.0].len() {
-            self.curves[flow.0][hop + 2] = Some(next); // audit: allow(index, curves[f] has one slot per route hop; hop comes from hop_index on the same route)
+        self.install(flow, hop, hop + 2, delay, self.net.server(second).rate);
+    }
+
+    /// Install at hop `to` the output constraint of the curve entering
+    /// hop `from` after a stage of delay bound `delay` and output rate
+    /// `rate`; nothing when `to` is past the end of the route.
+    fn install(&mut self, flow: FlowId, from: usize, to: usize, delay: Rat, rate: Rat) {
+        let hops = &mut self.curves[flow.0]; // audit: allow(index, curves has one entry per flow; FlowId comes from the same network)
+        if to >= hops.len() {
+            return;
+        }
+        let cur = hops
+            .get(from)
+            .and_then(Option::as_ref)
+            .expect("advance past unanalyzed hop"); // audit: allow(expect, documented panic: topological-order precondition of Propagation)
+        let next = propagate_output(cur, delay, rate, self.cap);
+        if let Some(slot) = hops.get_mut(to) {
+            *slot = Some(next);
         }
     }
 }

@@ -1,14 +1,16 @@
 //! Bound extraction: horizontal deviation (delay), vertical deviation
 //! (backlog), and busy-period length.
 //!
-//! [`hdev`] and [`hdev_general`] answer the ubiquitous
-//! token-bucket/rate-latency case with the closed form `σ/R + T`
-//! ([`crate::shape::closed_hdev`]) and memoize everything else in one
-//! global cache each, keyed by interned [`crate::intern::CurveId`]s; shape
-//! preconditions are checked against the memoized
-//! [`crate::shape::ShapeInfo`] flags so the error behavior matches the
-//! candidate scans. Under `debug-invariants` every closed-form or memoized
-//! answer is recomputed by the scan and asserted equal
+//! [`hdev`] and [`hdev_general`] first try `one_pass`: a concave
+//! nondecreasing `α` against a rate-latency `β_{R,T}` is answered in one
+//! walk over `α`'s breakpoints, before anything is interned or
+//! classified (DESIGN §18.2). Everything else (static-priority residual
+//! curves, FIFO-family members, unstable operands) is memoized in one
+//! global cache per operation, keyed by interned
+//! [`crate::intern::CurveId`]s; shape preconditions are checked against
+//! the memoized [`crate::shape::ShapeInfo`] flags so the error behavior
+//! matches the candidate scans. Under `debug-invariants` every one-pass
+//! or memoized answer is recomputed by the scan and asserted equal
 //! ([`crate::invariant::same_as_general`]). [`hdev_envelope`] /
 //! [`hdev_general_envelope`] expose the always-general candidate scans
 //! for differential testing.
@@ -71,12 +73,56 @@ fn hdev_general_pre(
 type Pre = fn(&Curve, &Curve, &ShapeInfo, &ShapeInfo) -> Result<(), CurveError>;
 type Scan = fn(&Curve, &Curve) -> Result<Rat, CurveError>;
 
-/// The kernel path of [`hdev`] and [`hdev_general`]: preconditions on
-/// the memoized shapes, then the closed form `σ/R + T` or the candidate
-/// scan memoized under `(tag, α id, β id)` (hdev is not symmetric). For
-/// token-bucket/rate-latency operands both scans' suprema equal the
-/// closed form (for `hdev_general` the flat-segment limit contributions
-/// are dominated by `σ/R + T`; proptested in `tests/prop_intern.rs`).
+/// `h(α, β_{R,T})` in one walk over `α`'s breakpoints, for a concave
+/// nondecreasing `α` with `α(0) ≥ 0` and final slope `ρ ≤ R`, and a
+/// rate-latency `β` with `R > 0`:
+///
+/// `max(0, T if α(0) = 0 and α ≢ 0, max over breakpoints x with α(x) > 0 of T + α(x)/R − x)`.
+///
+/// On `{α > 0}` the delay `β⁻¹(α(t)) − t = T + α(t)/R − t` is concave
+/// with kinks only at `α`'s breakpoints and tail slope `ρ/R − 1 ≤ 0`, so
+/// its supremum sits at a breakpoint, or at the limit `T` as `t → 0⁺`
+/// when `α` leaves zero there (DESIGN §18.2). `None` for any other
+/// operands, which then take the classified path and its errors. Both
+/// scans agree with this value on the class, so it serves [`hdev`] and
+/// [`hdev_general`] alike.
+fn one_pass(alpha: &Curve, beta: &Curve) -> Option<Rat> {
+    let t = match *beta.points() {
+        [(_, y0)] if y0.is_zero() => Rat::ZERO,
+        [(_, y0), (t, y1)] if y0.is_zero() && y1.is_zero() => t,
+        _ => return None,
+    };
+    let (r, rho) = (beta.final_slope(), alpha.final_slope());
+    if !r.is_positive() || rho > r || alpha.at_zero().is_negative() {
+        return None;
+    }
+    let pts = alpha.points();
+    let mut best = if alpha.at_zero().is_zero() && !alpha.is_zero() {
+        t
+    } else {
+        Rat::ZERO
+    };
+    let mut prev_slope: Option<Rat> = None;
+    for (i, &(x, y)) in pts.iter().enumerate() {
+        let slope = match pts.get(i + 1) {
+            Some(&(x1, y1)) => (y1 - y) / (x1 - x),
+            None => rho,
+        };
+        if slope.is_negative() || prev_slope.is_some_and(|p| slope > p) {
+            return None;
+        }
+        prev_slope = Some(slope);
+        if y.is_positive() {
+            best = best.max(t + y / r - x);
+        }
+    }
+    Some(best)
+}
+
+/// The kernel path of [`hdev`] and [`hdev_general`]: [`one_pass`] when
+/// it applies, else preconditions on the memoized shapes and the
+/// candidate scan memoized under `(tag, α id, β id)` (hdev is not
+/// symmetric).
 fn deviation(
     alpha: &Curve,
     beta: &Curve,
@@ -85,19 +131,19 @@ fn deviation(
     pre: Pre,
     scan: Scan,
 ) -> Result<Rat, CurveError> {
-    let aid = intern::intern(alpha);
-    let bid = intern::intern(beta);
-    let (ash, bsh) = (intern::shape_of(aid), intern::shape_of(bid));
-    pre(alpha, beta, &ash, &bsh)?;
-    let best = match shape::closed_hdev(&ash, &bsh) {
+    let best = match one_pass(alpha, beta) {
         Some(d) => {
             dnc_telemetry::counter("curve.hdev.fast_path", 1);
             d
         }
-        None => memo
-            .get_or_try_insert_with(CacheKey::new(tag).curve_id(aid).curve_id(bid), || {
+        None => {
+            let aid = intern::intern(alpha);
+            let bid = intern::intern(beta);
+            pre(alpha, beta, &intern::shape_of(aid), &intern::shape_of(bid))?;
+            memo.get_or_try_insert_with(CacheKey::new(tag).curve_id(aid).curve_id(bid), || {
                 scan(alpha, beta)
-            })?,
+            })?
+        }
     };
     crate::invariant::same_as_general(tag, &Ok(best), || scan(alpha, beta));
     crate::invariant::hdev_post(alpha, beta, best);
@@ -385,6 +431,51 @@ mod tests {
         let a = Curve::token_bucket(int(4), int(1));
         let b = Curve::rate_latency(int(2), int(3));
         assert_eq!(hdev(&a, &b).unwrap(), int(5));
+    }
+
+    #[test]
+    fn one_pass_matches_pinned_examples() {
+        // Token bucket through rate-latency: σ/R + T.
+        let a = Curve::token_bucket(int(4), int(1));
+        let b = Curve::rate_latency(int(2), int(3));
+        assert_eq!(one_pass(&a, &b), Some(int(5)));
+        // Three capped buckets min{t, 1 + t/8} on a unit link: the
+        // breakpoint (8/7, 24/7) gives 24/7 − 8/7 = 16/7.
+        let one = Curve::token_bucket_peak(int(1), rat(1, 8), int(1));
+        let g = Curve::sum([&one, &one, &one]);
+        assert_eq!(one_pass(&g, &Curve::rate(int(1))), Some(rat(16, 7)));
+        // Behind a latency the breakpoint term gains T ...
+        let b = Curve::rate_latency(int(1), int(1));
+        assert_eq!(one_pass(&g, &b), Some(rat(23, 7)));
+        // ... unless it falls below T itself, the limit t → 0⁺ of an α
+        // that leaves zero at 0 (3 + 6/7 − 8/7 < 3 here).
+        let b = Curve::rate_latency(int(4), int(3));
+        assert_eq!(one_pass(&g, &b), Some(int(3)));
+        assert_eq!(one_pass(&Curve::rate(int(1)), &b), Some(int(3)));
+        for b in [
+            Curve::rate_latency(int(1), int(1)),
+            Curve::rate_latency(int(4), int(3)),
+        ] {
+            assert_eq!(hdev(&g, &b), hdev_envelope(&g, &b));
+        }
+    }
+
+    #[test]
+    fn one_pass_zero_alpha_unstable_and_zero_rate() {
+        let b = Curve::rate_latency(int(2), int(3));
+        assert_eq!(
+            one_pass(&Curve::zero(), &b),
+            Some(int(0)),
+            "α ≡ 0 has deviation 0, not T"
+        );
+        assert_eq!(hdev(&Curve::zero(), &b).unwrap(), int(0));
+        let fast = Curve::token_bucket(int(1), int(5));
+        assert_eq!(one_pass(&fast, &b), None, "ρ > R is unstable");
+        assert!(matches!(hdev(&fast, &b), Err(CurveError::Unstable { .. })));
+        let flat = Curve::token_bucket(int(1), int(0));
+        assert_eq!(one_pass(&flat, &Curve::zero()), None, "R = 0");
+        let convex = Curve::rate_latency(int(1), int(1));
+        assert_eq!(one_pass(&convex, &b), None, "α must be concave");
     }
 
     #[test]

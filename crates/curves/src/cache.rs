@@ -56,7 +56,6 @@ pub struct CacheKey {
     tag: &'static str,
     curves: Vec<CurveId>,
     rats: Vec<Rat>,
-    words: Vec<u64>,
 }
 
 impl CacheKey {
@@ -66,7 +65,6 @@ impl CacheKey {
             tag,
             curves: Vec::new(),
             rats: Vec::new(),
-            words: Vec::new(),
         }
     }
 
@@ -93,12 +91,6 @@ impl CacheKey {
     /// Append a sequence of rational parameters (order-sensitive).
     pub fn rat_seq<I: IntoIterator<Item = Rat>>(mut self, rs: I) -> CacheKey {
         self.rats.extend(rs);
-        self
-    }
-
-    /// Append one discrete parameter (an enum discriminant, a count, …).
-    pub fn word(mut self, w: u64) -> CacheKey {
-        self.words.push(w);
         self
     }
 }
@@ -384,7 +376,7 @@ mod tests {
             .rat(int(1));
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_ne!(a, b.clone().word(0), "extra input distinguishes keys");
+        assert_ne!(a, b.clone().rat(int(0)), "extra input distinguishes keys");
     }
 
     #[test]
@@ -445,18 +437,18 @@ mod tests {
     fn eviction_follows_recency_chain() {
         let cache: CurveCache<u64> = CurveCache::new(3);
         for (k, v) in [("a", 1), ("b", 2), ("c", 3)] {
-            cache.insert(CacheKey::new(k).word(0), v);
+            cache.insert(CacheKey::new(k).rat(int(0)), v);
         }
         // Recency now c > b > a; touch a and b, then overflow twice.
-        cache.lookup(&CacheKey::new("a").word(0));
-        cache.lookup(&CacheKey::new("b").word(0));
-        cache.insert(CacheKey::new("d").word(0), 4); // evicts c
-        cache.insert(CacheKey::new("e").word(0), 5); // evicts a
-        assert_eq!(cache.peek(&CacheKey::new("c").word(0)), None);
-        assert_eq!(cache.peek(&CacheKey::new("a").word(0)), None);
-        assert_eq!(cache.peek(&CacheKey::new("b").word(0)), Some(2));
-        assert_eq!(cache.peek(&CacheKey::new("d").word(0)), Some(4));
-        assert_eq!(cache.peek(&CacheKey::new("e").word(0)), Some(5));
+        cache.lookup(&CacheKey::new("a").rat(int(0)));
+        cache.lookup(&CacheKey::new("b").rat(int(0)));
+        cache.insert(CacheKey::new("d").rat(int(0)), 4); // evicts c
+        cache.insert(CacheKey::new("e").rat(int(0)), 5); // evicts a
+        assert_eq!(cache.peek(&CacheKey::new("c").rat(int(0))), None);
+        assert_eq!(cache.peek(&CacheKey::new("a").rat(int(0))), None);
+        assert_eq!(cache.peek(&CacheKey::new("b").rat(int(0))), Some(2));
+        assert_eq!(cache.peek(&CacheKey::new("d").rat(int(0))), Some(4));
+        assert_eq!(cache.peek(&CacheKey::new("e").rat(int(0))), Some(5));
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //!   concave/convex/nondecreasing flags every analysis precondition
 //!   checks ([`classify`] is O(points) and the result is memoized per
 //!   interned curve by [`crate::intern::shape`]);
-//! * provides the closed forms themselves ([`closed_conv`],
-//!   [`closed_hdev`]), each returning `None` unless the preconditions
-//!   under which it is *provably bit-identical* to the general path
-//!   hold.
+//! * provides the closed-form convolution [`closed_conv`], returning
+//!   `None` unless the preconditions under which it is *provably
+//!   bit-identical* to the general path hold. (The horizontal deviation's
+//!   fast path, `bounds::one_pass`, reads the curves directly and needs
+//!   no classification.)
 //!
 //! The shape lattice is intentionally not a partition: the rate curve
 //! `λ_r` is simultaneously `γ_{0,r}` and `β_{r,0}`, and the zero curve
@@ -47,8 +48,6 @@ pub struct ShapeInfo {
     convex: bool,
     /// Every piece slope is ≥ 0.
     nondecreasing: bool,
-    /// The curve is identically zero.
-    zero: bool,
 }
 
 impl ShapeInfo {
@@ -85,12 +84,6 @@ impl ShapeInfo {
     #[inline]
     pub fn is_nondecreasing(&self) -> bool {
         self.nondecreasing
-    }
-
-    /// Whether the curve is identically zero.
-    #[inline]
-    pub fn is_zero(&self) -> bool {
-        self.zero
     }
 }
 
@@ -130,7 +123,6 @@ pub fn classify(c: &Curve) -> ShapeInfo {
         concave: c.is_concave(),
         convex: c.is_convex(),
         nondecreasing: c.is_nondecreasing(),
-        zero: c.is_zero(),
     }
 }
 
@@ -170,24 +162,6 @@ pub fn closed_conv(fs: &ShapeInfo, gs: &ShapeInfo) -> Option<Curve> {
     None
 }
 
-/// Closed-form horizontal deviation
-/// `h(γ_{σ,ρ}, β_{R,T}) = σ/R + T` for `ρ ≤ R`, `R > 0` — the classic
-/// burst-over-rate-plus-latency bound, tight for these shapes.
-///
-/// Declines (`None`) when `α` is identically zero: the true deviation
-/// is then `0`, not `T`, and the general path's candidate scan gets it
-/// right. Also declines `R = 0` (with `ρ ≤ R` that forces a constant
-/// `α`; the general path reports `NeverServed`/`0` as appropriate) and
-/// `ρ > R` (unstable — general path constructs the error).
-pub fn closed_hdev(fs: &ShapeInfo, gs: &ShapeInfo) -> Option<Rat> {
-    let (sigma, rho) = fs.as_token_bucket()?;
-    let (r, t) = gs.as_rate_latency()?;
-    if fs.is_zero() || !r.is_positive() || rho > r {
-        return None;
-    }
-    Some(sigma / r + t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,7 +190,6 @@ mod tests {
         let z = classify(&Curve::zero());
         assert_eq!(z.as_token_bucket(), Some((int(0), int(0))));
         assert_eq!(z.as_rate_latency(), Some((int(0), int(0))));
-        assert!(z.is_zero());
     }
 
     #[test]
@@ -245,20 +218,5 @@ mod tests {
         let b2 = Curve::rate_latency(int(1), int(5));
         let got = closed_conv(&classify(&b1), &classify(&b2)).unwrap();
         assert_eq!(got, Curve::rate_latency(int(1), int(7)));
-
-        let a = Curve::token_bucket(int(4), int(1));
-        let b = Curve::rate_latency(int(2), int(3));
-        assert_eq!(closed_hdev(&classify(&a), &classify(&b)), Some(int(5)));
-    }
-
-    #[test]
-    fn closed_hdev_declines_zero_alpha_and_unstable() {
-        let z = classify(&Curve::zero());
-        let b = classify(&Curve::rate_latency(int(2), int(3)));
-        assert_eq!(closed_hdev(&z, &b), None, "α ≡ 0 has deviation 0, not T");
-        let fast = classify(&Curve::token_bucket(int(1), int(5)));
-        assert_eq!(closed_hdev(&fast, &b), None, "ρ > R is unstable");
-        let a = classify(&Curve::token_bucket(int(1), int(0)));
-        assert_eq!(closed_hdev(&a, &classify(&Curve::zero())), None, "R = 0");
     }
 }

@@ -95,13 +95,11 @@ pub fn partition(net: &Network, strategy: PairingStrategy) -> Result<Partition, 
         PairingStrategy::Singletons => Ok(Partition {
             groups: order.into_iter().map(Group::Single).collect(),
         }),
-        PairingStrategy::GreedyChain => greedy_chain(net, &order),
-        PairingStrategy::OptimalSmall => {
-            if net.servers().len() <= 16 {
-                optimal_small(net, &order)
-            } else {
-                greedy_chain(net, &order)
-            }
+        PairingStrategy::OptimalSmall if net.servers().len() <= 16 => {
+            optimal_small(net, &order, &transitions(net))
+        }
+        PairingStrategy::GreedyChain | PairingStrategy::OptimalSmall => {
+            greedy_chain(net, &order, &transitions(net))
         }
     };
     if let Ok(p) = &out {
@@ -112,40 +110,89 @@ pub fn partition(net: &Network, strategy: PairingStrategy) -> Result<Partition, 
     out
 }
 
+/// One immediate transition `a → b` and the number of flows making it.
+type Transition = ((ServerId, ServerId), usize);
+
+/// Every immediate transition of every route, counted once and sorted
+/// by `(a, b)`: [`Network::precedence_edges`] with the flows sharing each
+/// edge (a route visits a server at most once, so each flow makes a
+/// transition at most once).
+fn transitions(net: &Network) -> Vec<Transition> {
+    let mut hops: Vec<(ServerId, ServerId)> = net
+        .flows()
+        .iter()
+        .flat_map(|f| f.route.iter().copied().zip(f.route.iter().copied().skip(1)))
+        .collect();
+    hops.sort_unstable();
+    let mut out: Vec<Transition> = Vec::new();
+    for edge in hops {
+        match out.last_mut() {
+            Some((last, count)) if *last == edge => *count += 1,
+            _ => out.push((edge, 1)),
+        }
+    }
+    out
+}
+
+/// The transitions leaving `u` (a contiguous run of the sorted list).
+fn transitions_from(edges: &[Transition], u: ServerId) -> &[Transition] {
+    let start = edges.partition_point(|&((a, _), _)| a < u);
+    let end = edges.partition_point(|&((a, _), _)| a <= u);
+    edges.get(start..end).unwrap_or_default()
+}
+
+/// `group_of[server] → group index` for groups that cover every server.
+fn group_table(n: usize, groups: &[Group]) -> Vec<usize> {
+    let mut group_of = vec![usize::MAX; n];
+    for (i, g) in groups.iter().enumerate() {
+        for s in g.servers() {
+            if let Some(slot) = group_of.get_mut(s.0) {
+                *slot = i;
+            }
+        }
+    }
+    group_of
+}
+
 /// Exact maximum-weight pairing: branch-and-bound over the servers in
 /// topological order, keeping only assignments whose final contraction is
 /// acyclic. Weight of a pair = number of flows making the `a → b`
 /// transition (the traffic whose delay dependency the pair captures).
-fn optimal_small(net: &Network, order: &[ServerId]) -> Result<Partition, NetworkError> {
+fn optimal_small(
+    net: &Network,
+    order: &[ServerId],
+    edges: &[Transition],
+) -> Result<Partition, NetworkError> {
     let n = net.servers().len();
-    // Candidate pair edges with weights.
-    let mut weights: Vec<Vec<usize>> = vec![vec![0; n]; n];
-    for f in net.flows() {
-        for w in f.route.windows(2) {
-            weights[w[0].0][w[1].0] += 1; // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
+    // The largest outgoing weight of every server, for the search bound.
+    let mut best_out = vec![0usize; n];
+    for &((a, _), w) in edges {
+        if let Some(b) = best_out.get_mut(a.0) {
+            *b = (*b).max(w);
         }
     }
 
     struct Search<'a> {
-        net: &'a Network,
+        n: usize,
         order: &'a [ServerId],
-        weights: Vec<Vec<usize>>,
+        edges: &'a [Transition],
+        best_out: Vec<usize>,
         best_weight: usize,
         best: Option<Vec<Group>>,
     }
 
     impl Search<'_> {
         fn recurse(&mut self, idx: usize, assigned: u32, groups: &mut Vec<Group>, weight: usize) {
-            if idx == self.order.len() {
+            let Some((&u, rest)) = self.order.get(idx..).and_then(<[ServerId]>::split_first) else {
                 if (weight > self.best_weight || self.best.is_none())
-                    && contracted_order(self.net, groups).is_some()
+                    && contracted_order(self.edges, &group_table(self.n, groups), groups.len())
+                        .is_some()
                 {
                     self.best_weight = weight;
                     self.best = Some(groups.clone());
                 }
                 return;
-            }
-            let u = self.order[idx]; // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
+            };
             if assigned & (1 << u.0) != 0 {
                 self.recurse(idx + 1, assigned, groups, weight);
                 return;
@@ -153,24 +200,24 @@ fn optimal_small(net: &Network, order: &[ServerId]) -> Result<Partition, Network
             // Optimistic bound: every remaining server could add the
             // single largest outgoing weight; prune when even that cannot
             // beat the incumbent.
-            let optimistic: usize = self.order[idx..] // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-                .iter()
+            let optimistic: usize = std::iter::once(&u)
+                .chain(rest)
                 .filter(|s| assigned & (1 << s.0) == 0)
-                .map(|s| self.weights[s.0].iter().copied().max().unwrap_or(0)) // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
+                .map(|s| self.best_out.get(s.0).copied().unwrap_or(0))
                 .sum();
             if self.best.is_some() && weight + optimistic <= self.best_weight {
                 return;
             }
-            // Try pairing u with each unassigned positive-weight successor.
-            for v in 0..self.weights.len() {
-                // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-                if self.weights[u.0][v] > 0 && assigned & (1 << v) == 0 {
-                    groups.push(Group::Pair(u, ServerId(v)));
+            // Try pairing u with each unassigned successor, in id order.
+            let edges = self.edges;
+            for &((_, v), w) in transitions_from(edges, u) {
+                if assigned & (1 << v.0) == 0 {
+                    groups.push(Group::Pair(u, v));
                     self.recurse(
                         idx + 1,
-                        assigned | (1 << u.0) | (1 << v),
+                        assigned | (1 << u.0) | (1 << v.0),
                         groups,
-                        weight + self.weights[u.0][v], // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
+                        weight + w,
                     );
                     groups.pop();
                 }
@@ -183,130 +230,122 @@ fn optimal_small(net: &Network, order: &[ServerId]) -> Result<Partition, Network
     }
 
     let mut search = Search {
-        net,
+        n,
         order,
-        weights,
+        edges,
+        best_out,
         best_weight: 0,
         best: None,
     };
     search.recurse(0, 0, &mut Vec::new(), 0);
     let groups = search.best.ok_or(NetworkError::NotFeedforward)?;
-    let order = contracted_order(net, &groups).ok_or(NetworkError::NotFeedforward)?;
-    Ok(Partition {
-        groups: order.into_iter().map(|i| groups[i]).collect(), // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-    })
+    in_contracted_order(n, edges, groups)
 }
 
-fn greedy_chain(net: &Network, order: &[ServerId]) -> Result<Partition, NetworkError> {
+/// Walk the topological order and pair each unassigned server with the
+/// unassigned successor that shares its discipline and the most flows,
+/// provided the contracted graph stays acyclic. A trial pair is checked
+/// on `rep`, which maps every server to a representative: its own id
+/// while unassigned, the pair's first server once paired.
+fn greedy_chain(
+    net: &Network,
+    order: &[ServerId],
+    edges: &[Transition],
+) -> Result<Partition, NetworkError> {
     let n = net.servers().len();
+    let set_rep = |rep: &mut [usize], s: ServerId, to: usize| {
+        if let Some(slot) = rep.get_mut(s.0) {
+            *slot = to;
+        }
+    };
+    let mut rep: Vec<usize> = (0..n).collect();
     let mut assigned = vec![false; n];
+    let is_free = |assigned: &[bool], s: ServerId| !assigned.get(s.0).copied().unwrap_or(true);
     let mut groups: Vec<Group> = Vec::new();
 
-    // Flows sharing the immediate transition a -> b.
-    let shared = |a: ServerId, b: ServerId| -> usize {
-        net.flows()
-            .iter()
-            .filter(|f| f.route.windows(2).any(|w| w[0] == a && w[1] == b)) // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-            .count()
-    };
-
     for &u in order {
-        // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-        if assigned[u.0] {
+        if !is_free(&assigned, u) {
             continue;
         }
-        // Candidate successors: unassigned servers reached by an immediate
-        // transition from u. Prefer same-discipline pairs (mixed pairs
-        // cannot be analyzed jointly), then the largest shared-flow count.
-        let mut cands: Vec<(bool, usize, ServerId)> = net
-            .precedence_edges()
-            .into_iter()
-            .filter(|&(a, b)| a == u && !assigned[b.0]) // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-            .map(|(_, b)| {
-                (
-                    net.server(u).discipline == net.server(b).discipline,
-                    shared(u, b),
-                    b,
-                )
-            })
-            .filter(|&(_, c, _)| c > 0)
+        // Prefer same-discipline pairs (mixed pairs cannot be analyzed
+        // jointly), then the largest shared-flow count, then the lower id.
+        let mut cands: Vec<(bool, usize, ServerId)> = transitions_from(edges, u)
+            .iter()
+            .filter(|&&((_, v), _)| is_free(&assigned, v))
+            .map(|&((_, v), w)| (net.server(u).discipline == net.server(v).discipline, w, v))
             .collect();
         cands.sort_by(|x, y| y.0.cmp(&x.0).then(y.1.cmp(&x.1)).then(x.2.cmp(&y.2)));
-        let cands: Vec<(usize, ServerId)> = cands.into_iter().map(|(_, c, b)| (c, b)).collect();
 
-        let mut placed = false;
-        for (_, v) in cands {
-            let mut trial = groups.clone();
-            trial.push(Group::Pair(u, v));
-            // Remaining servers as singletons for the acyclicity check.
-            let mut trial_assigned = assigned.clone();
-            trial_assigned[u.0] = true; // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-            trial_assigned[v.0] = true; // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-            for &w in order {
-                // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-                if !trial_assigned[w.0] {
-                    trial.push(Group::Single(w));
-                }
+        let paired = cands.into_iter().map(|(_, _, v)| v).find(|&v| {
+            set_rep(&mut rep, v, u.0);
+            let acyclic = contracted_order(edges, &rep, n).is_some();
+            if !acyclic {
+                set_rep(&mut rep, v, v.0);
             }
-            if contracted_order(net, &trial).is_some() {
-                groups.push(Group::Pair(u, v));
-                assigned[u.0] = true; // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-                assigned[v.0] = true; // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-                placed = true;
-                break;
+            acyclic
+        });
+        for s in std::iter::once(u).chain(paired) {
+            if let Some(a) = assigned.get_mut(s.0) {
+                *a = true;
             }
         }
-        if !placed {
-            groups.push(Group::Single(u));
-            assigned[u.0] = true; // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-        }
+        groups.push(match paired {
+            Some(v) => Group::Pair(u, v),
+            None => Group::Single(u),
+        });
     }
+    in_contracted_order(n, edges, groups)
+}
 
-    let order = contracted_order(net, &groups).ok_or(NetworkError::NotFeedforward)?;
+/// `groups` (covering all `n` servers) in their contracted topological
+/// order.
+fn in_contracted_order(
+    n: usize,
+    edges: &[Transition],
+    groups: Vec<Group>,
+) -> Result<Partition, NetworkError> {
+    let order = contracted_order(edges, &group_table(n, &groups), groups.len())
+        .ok_or(NetworkError::NotFeedforward)?;
     Ok(Partition {
-        groups: order.into_iter().map(|i| groups[i]).collect(), // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
+        groups: order
+            .into_iter()
+            .filter_map(|i| groups.get(i).copied())
+            .collect(),
     })
 }
 
-/// Topological order of group indices in the contracted graph, or `None`
-/// on a cycle.
-fn contracted_order(net: &Network, groups: &[Group]) -> Option<Vec<usize>> {
-    let ng = groups.len();
-    let group_of = |s: ServerId| -> usize {
-        groups
-            .iter()
-            .position(|g| g.contains(s))
-            .expect("groups cover all servers") // audit: allow(expect, groups are constructed to cover every server of the network)
-    };
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); ng];
-    let mut indeg = vec![0usize; ng];
-    let mut edges: Vec<(usize, usize)> = net
-        .precedence_edges()
-        .into_iter()
-        .map(|(a, b)| (group_of(a), group_of(b)))
+/// Topological order of the nodes `0..nodes` of the graph that contracts
+/// every transition `a → b` to `group_of[a] → group_of[b]` (dropping
+/// self-loops), or `None` on a cycle. Ties go to the lower index, and
+/// successors are released in index order.
+fn contracted_order(edges: &[Transition], group_of: &[usize], nodes: usize) -> Option<Vec<usize>> {
+    let group = |s: ServerId| group_of.get(s.0).copied();
+    let mut contracted: Vec<(usize, usize)> = edges
+        .iter()
+        .filter_map(|&((a, b), _)| Some((group(a)?, group(b)?)))
         .filter(|&(ga, gb)| ga != gb)
         .collect();
-    edges.sort_unstable();
-    edges.dedup();
-    for (a, b) in edges {
-        adj[a].push(b); // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-        indeg[b] += 1; // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
+    contracted.sort_unstable();
+    contracted.dedup();
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nodes];
+    let mut indeg = vec![0usize; nodes];
+    for (a, b) in contracted {
+        adj.get_mut(a)?.push(b);
+        *indeg.get_mut(b)? += 1;
     }
-    let mut queue: VecDeque<usize> = (0..ng).filter(|&i| indeg[i] == 0).collect(); // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-    let mut out = Vec::with_capacity(ng);
+    let mut queue: VecDeque<usize> = (0..nodes).filter(|&i| indeg.get(i) == Some(&0)).collect();
+    let mut out = Vec::with_capacity(nodes);
     while let Some(u) = queue.pop_front() {
         out.push(u);
-        // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-        for &v in &adj[u] {
-            // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-            indeg[v] -= 1;
-            // audit: allow(index, weight/assignment tables are sized to the server/group count of the same network)
-            if indeg[v] == 0 {
+        for &v in adj.get(u)? {
+            let d = indeg.get_mut(v)?;
+            *d -= 1;
+            if *d == 0 {
                 queue.push_back(v);
             }
         }
     }
-    (out.len() == ng).then_some(out)
+    (out.len() == nodes).then_some(out)
 }
 
 /// Classify the flows of a [`Group::Pair`] `(a, b)` into the paper's
