@@ -35,11 +35,11 @@ use dnc_net::{Discipline, FlowId, Network};
 use dnc_num::Rat;
 use std::sync::LazyLock;
 
-/// Memo for [`family_curve`]: the coordinate descent rebuilds the same
-/// `(rate, α_cross, θ)` members over and over (only one hop's θ moves
-/// per step), so the construction — two curve subtractions, a min with
-/// crossing insertion, and a `future_min` monotonization — is the hot
-/// allocation path of the whole analysis. Keyed by interned curve id +
+/// Memo for [`family_curve`]: the coordinate descent builds the same
+/// `(rate, α_cross, θ)` members again in every pass, and flows that see
+/// the same cross aggregate at a server share them, so the construction
+/// — two curve subtractions, a min with crossing insertion, and a
+/// `future_min` monotonization — is built once per distinct member. Keyed by interned curve id +
 /// the two rationals; values are interned ids (pure function of the
 /// key, so the global table is sound and bit-identity is preserved).
 static FAMILY_MEMO: LazyLock<CurveCache<CurveId>> = LazyLock::new(CurveCache::default);
@@ -74,6 +74,27 @@ fn family_curve_core(rate: Rat, alpha_cross: &Curve, theta: Rat) -> Curve {
     let k = (rate + alpha_cross.final_slope() + Rat::ONE) * Rat::from(1i64 << 20);
     let capped = base.min(&Curve::rate_latency(k, theta)).pos();
     capped.future_min()
+}
+
+/// `prefix ⊗ m ⊗ rest`, where an absent end is the ⊗ identity.
+fn chain(prefix: Option<&Curve>, m: &Curve, rest: Option<&Curve>) -> Curve {
+    match (prefix, rest) {
+        (Some(p), Some(r)) => minplus::conv(&minplus::conv(p, m), r),
+        (Some(p), None) => minplus::conv(p, m),
+        (None, Some(r)) => minplus::conv(m, r),
+        (None, None) => m.clone(),
+    }
+}
+
+/// `suffix[k] = members[k] ⊗ … ⊗ members[h−1]` for every hop `k`.
+fn suffix_products(members: &[Curve]) -> Vec<Curve> {
+    let mut suffix: Vec<Curve> = Vec::with_capacity(members.len());
+    for m in members.iter().rev() {
+        let next = chain(None, m, suffix.last());
+        suffix.push(next);
+    }
+    suffix.reverse();
+    suffix
 }
 
 /// The FIFO service-curve family analysis.
@@ -148,65 +169,70 @@ impl DelayAnalysis for FifoFamily {
             let id = FlowId(i);
             let alpha = f.spec.arrival_curve();
 
-            // Per-hop cross constraints and rates.
-            let mut rates: Vec<Rat> = Vec::new();
-            let mut crosses: Vec<Option<Curve>> = Vec::new();
-            let mut scales: Vec<Rat> = Vec::new();
-            for &server in &f.route {
-                rates.push(net.server(server).rate);
-                scales.push(local_delay[server.0]); // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
-                let cross_ids: Vec<FlowId> = net
-                    .flows_through(server)
-                    .into_iter()
-                    .filter(|&g| g != id)
-                    .collect();
-                if cross_ids.is_empty() {
-                    crosses.push(None);
-                } else {
-                    let cs: Vec<Curve> = cross_ids
-                        .iter()
-                        .map(|&g| {
+            // Per hop: the link rate, the cross aggregate (`None` when the
+            // flow is alone there) and the θ scale.
+            let hops: Vec<(Rat, Option<Curve>, Rat)> = f
+                .route
+                .iter()
+                .map(|&server| {
+                    let cs: Vec<Curve> = net
+                        .flows_through(server)
+                        .into_iter()
+                        .filter(|&g| g != id)
+                        .map(|g| {
                             let h = net.hop_index(g, server).expect("cross flow on server"); // audit: allow(expect, g is a cross flow at server, so hop_index is Some)
                             hop_curves[g.0][h].clone() // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
                         })
                         .collect();
-                    crosses.push(Some(fifo::aggregate_curve(cs.iter())));
-                }
-            }
+                    let cross = (!cs.is_empty()).then(|| fifo::aggregate_curve(cs.iter()));
+                    let scale = local_delay[server.0]; // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
+                    (net.server(server).rate, cross, scale)
+                })
+                .collect();
 
-            // Coordinate descent over per-hop θ.
-            let hops = f.route.len();
-            let mut thetas: Vec<Rat> = vec![Rat::ZERO; hops];
-            let eval = |thetas: &[Rat]| -> Result<Rat, AnalysisError> {
-                let betas: Vec<Curve> = (0..hops)
-                    // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
-                    .map(|k| match &crosses[k] {
-                        Some(c) => family_curve(rates[k], c, thetas[k]), // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
-                        None => Curve::rate(rates[k]), // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
-                    })
-                    .collect();
-                let beta_net = minplus::conv_all(betas.iter());
-                bounds::hdev_general(&alpha, &beta_net)
-                    .map_err(|e| AnalysisError::at(f.route[0], e)) // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
+            // Coordinate descent over per-hop θ, one hop's member at a
+            // time: a candidate at hop k is `prefix ⊗ member ⊗ suffix[k+1]`,
+            // where the prefix folds the current members before k and the
+            // suffixes, formed at the start of each pass, fold those after
+            // it. ⊗ is exact, associative and commutative and canonical
+            // forms are unique, so every candidate's network curve is the
+            // one a re-fold of all members would give (DESIGN §18.6).
+            let mut members: Vec<Curve> = hops
+                .iter()
+                .map(|(rate, cross, _)| match cross {
+                    Some(c) => family_curve(*rate, c, Rat::ZERO),
+                    None => Curve::rate(*rate),
+                })
+                .collect();
+            let delay = |beta: &Curve| {
+                // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
+                bounds::hdev_general(&alpha, beta).map_err(|e| AnalysisError::at(f.route[0], e))
             };
-            let mut best = eval(&thetas)?;
+            let mut best = delay(&minplus::conv_all(members.iter()))?;
             for _ in 0..self.passes {
-                for k in 0..hops {
-                    // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
-                    if crosses[k].is_none() {
-                        continue;
-                    }
-                    let scale = scales[k].max(Rat::ONE); // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
-                    for step in 1..=self.grid {
-                        // Geometric grid: scale · 2^{step - grid/2 - 1}.
-                        let exp = step as i32 - (self.grid as i32 / 2) - 1;
-                        let cand = scale * Rat::TWO.powi(exp);
-                        let old = thetas[k]; // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
-                        thetas[k] = cand; // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
-                        match eval(&thetas) {
-                            Ok(d) if d < best => best = d,
-                            _ => thetas[k] = old, // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
+                let suffix = suffix_products(&members);
+                let mut prefix: Option<Curve> = None;
+                for (k, (&(rate, ref cross, scale), current)) in
+                    hops.iter().zip(members.iter_mut()).enumerate()
+                {
+                    let rest = suffix.get(k + 1);
+                    if let Some(cross) = cross {
+                        let scale = scale.max(Rat::ONE);
+                        for step in 1..=self.grid {
+                            // Geometric grid: scale · 2^{step - grid/2 - 1}.
+                            let exp = step as i32 - (self.grid as i32 / 2) - 1;
+                            let cand = family_curve(rate, cross, scale * Rat::TWO.powi(exp));
+                            match delay(&chain(prefix.as_ref(), &cand, rest)) {
+                                Ok(d) if d < best => {
+                                    best = d;
+                                    *current = cand;
+                                }
+                                _ => {}
+                            }
                         }
+                    }
+                    if rest.is_some() {
+                        prefix = Some(chain(prefix.as_ref(), current, None));
                     }
                 }
             }

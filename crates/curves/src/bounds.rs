@@ -87,12 +87,8 @@ type Scan = fn(&Curve, &Curve) -> Result<Rat, CurveError>;
 /// scans agree with this value on the class, so it serves [`hdev`] and
 /// [`hdev_general`] alike.
 fn one_pass(alpha: &Curve, beta: &Curve) -> Option<Rat> {
-    let t = match *beta.points() {
-        [(_, y0)] if y0.is_zero() => Rat::ZERO,
-        [(_, y0), (t, y1)] if y0.is_zero() && y1.is_zero() => t,
-        _ => return None,
-    };
-    let (r, rho) = (beta.final_slope(), alpha.final_slope());
+    let (r, t) = shape::rate_latency(beta)?;
+    let rho = alpha.final_slope();
     if !r.is_positive() || rho > r || alpha.at_zero().is_negative() {
         return None;
     }

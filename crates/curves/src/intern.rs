@@ -172,7 +172,7 @@ mod tests {
         let s1 = shape_of(id);
         let s2 = shape_of(id);
         assert_eq!(s1, s2);
-        assert_eq!(s1.as_token_bucket(), Some((int(5), int(1))));
+        assert!(s1.is_concave() && s1.is_convex() && s1.is_nondecreasing());
     }
 
     #[test]

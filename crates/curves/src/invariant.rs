@@ -12,7 +12,7 @@
 //!   abscissae, `vdev` dominates the pointwise excess),
 //! * envelope inequalities (`(f ⊗ g)(t) ≤ f(t) + g(0)` and symmetrically —
 //!   the `s = t` / `s = 0` candidates of the infimum),
-//! * kernel agreement (every closed-form or memoized answer of
+//! * kernel agreement (every fast-path or memoized answer of
 //!   `conv`/`hdev`/`hdev_general` equals the general construction, see
 //!   [`same_as_general`]).
 //!

@@ -1,43 +1,53 @@
 //! Min-plus convolution (⊗) and deconvolution (⊘) of piecewise-linear
 //! curves.
 //!
-//! Both operations are computed **exactly** for wide-sense increasing,
-//! ultimately affine PWL functions by candidate-envelope construction:
+//! **Convolution.** [`conv`] computes
+//! `(f ⊗ g)(t) = inf_{0≤s≤t} f(s) + g(t−s)` exactly for nondecreasing,
+//! ultimately affine PWL operands. It dispatches on the raw breakpoints
+//! (proofs in DESIGN §18.2):
 //!
-//! * `(f ⊗ g)(t) = inf_{0≤s≤t} f(s) + g(t−s)` — for each fixed `t` the
-//!   infimum of the piecewise-linear function `s ↦ f(s) + g(t−s)` over a
-//!   closed interval is attained at one of its vertices, i.e. at a
-//!   breakpoint of `f` (`s = x_i`) or a breakpoint of `g` (`t − s = u_j`).
-//!   Each vertex family, viewed as a function of `t`, is a shifted copy of
-//!   the other curve; extending it leftwards by a constant never goes below
-//!   an already-present candidate (monotonicity), so the pointwise minimum
-//!   of the extended candidates equals the convolution everywhere.
-//! * `(f ⊘ g)(t) = sup_{s≥0} f(t+s) − g(s)` — symmetric argument with
-//!   maxima; requires `rate(f) ≤ rate(g)`, otherwise the supremum is `+∞`
-//!   and [`CurveError::Unstable`] is returned.
+//! * `β_{R1,T1} ⊗ β_{R2,T2} = β_{min(R1,R2), T1+T2}` in O(1);
+//! * any nondecreasing `f` against a rate-latency `β_{R,T}` (`λ_R` and
+//!   the zero curve included) takes one walk over `f`:
+//!   `h(t) = R·t + min_{s≤t}(f(s) − R·s)` as a running minimum, shifted
+//!   right by `T` holding `f(0)`;
+//! * every other pair is memoized in one global [`CurveCache`], keyed by
+//!   interned [`CurveId`]s and order-normalized because ⊗ is
+//!   commutative. A miss takes the convex-run decomposition (Bouillard &
+//!   Thierry, DEDS 2008): each operand is the pointwise minimum of
+//!   convex curves `Cᵢ ≥ f`, one per maximal convex run, ⊗ distributes
+//!   over min, and two convex curves convolve by the slope-sorted merge
+//!   of their pieces.
 //!
-//! The brute-force definitions are re-checked against these constructions
-//! by the property tests in `tests/prop_minplus.rs`.
+//! The first two forms intern nothing and count under
+//! `curve.conv.fast_path`. [`crate::limits::checkpoint`] runs first in
+//! every call, before any memo probe, so budgets behave the same on
+//! every path.
 //!
-//! **The curve kernel.** [`conv`] first tries the closed-form fast paths
-//! of [`crate::shape`] (token-bucket/rate-latency operands skip the
-//! envelope entirely) and otherwise memoizes the envelope result in one
-//! global [`CurveCache`], keyed by interned [`CurveId`]s and
-//! order-normalized because ⊗ is commutative. Everything observable is
-//! unchanged: canonical representations are unique, so fast-path,
-//! memoized, and envelope results are bit-identical (proptested in
-//! `tests/prop_intern.rs`, and asserted on every call under
-//! `debug-invariants` by [`crate::invariant::same_as_general`]);
-//! [`crate::limits::checkpoint`] still runs once per call *before* any
-//! cache probe, so operation/segment budgets behave identically.
-//! [`conv_envelope`] exposes the always-general path for differential
-//! testing. [`deconv`] has no fast path and no memo: no analysis calls
-//! it, so it always runs the envelope construction.
+//! **The oracle.** [`conv_envelope`] is the candidate-envelope
+//! construction: for each fixed `t` the infimum of the piecewise-linear
+//! function `s ↦ f(s) + g(t−s)` over a closed interval is attained at
+//! one of its vertices, i.e. at a breakpoint of `f` (`s = x_i`) or a
+//! breakpoint of `g` (`t − s = u_j`). Each vertex family, viewed as a
+//! function of `t`, is a shifted copy of the other curve; extending it
+//! leftwards by a constant never goes below an already-present candidate
+//! (monotonicity), so the pointwise minimum of the extended candidates
+//! equals the convolution everywhere. It is quadratic in the breakpoint
+//! count, so no analysis calls it. Canonical representations are unique,
+//! so every [`conv`] path is bit-identical to it: `tests/prop_intern.rs`
+//! proptests that, and under `debug-invariants`
+//! [`crate::invariant::same_as_general`] asserts it on every call.
+//!
+//! **Deconvolution.** `(f ⊘ g)(t) = sup_{s≥0} f(t+s) − g(s)` takes the
+//! symmetric envelope with maxima; it requires `rate(f) ≤ rate(g)`
+//! (otherwise the supremum is `+∞` and [`CurveError::Unstable`] is
+//! returned). [`deconv`] has no fast path and no memo: no analysis calls
+//! it.
 
 use crate::cache::{CacheKey, CurveCache};
+use crate::curve::CanonicalBuilder;
 use crate::intern::{self, CurveId};
-use crate::shape;
-use crate::{Curve, CurveError};
+use crate::{shape, Curve, CurveError, Segment};
 use dnc_num::Rat;
 use std::sync::LazyLock;
 
@@ -58,19 +68,18 @@ pub fn conv(f: &Curve, g: &Curve) -> Curve {
     debug_assert!(f.is_nondecreasing(), "conv: f must be nondecreasing");
     debug_assert!(g.is_nondecreasing(), "conv: g must be nondecreasing");
 
-    let fid = intern::intern(f);
-    let gid = intern::intern(g);
-    let out = match shape::closed_conv(&intern::shape_of(fid), &intern::shape_of(gid)) {
+    let out = match rate_latency_conv(f, g) {
         Some(out) => {
             dnc_telemetry::counter("curve.conv.fast_path", 1);
             out
         }
         None => {
+            let (fid, gid) = (intern::intern(f), intern::intern(g));
             // ⊗ is commutative and canonical forms are unique, so (f, g)
             // and (g, f) share one memo entry.
             let (lo, hi) = if fid <= gid { (fid, gid) } else { (gid, fid) };
             let key = CacheKey::new("curve.conv").curve_id(lo).curve_id(hi);
-            let id = CONV_MEMO.get_or_insert_with(key, || intern::intern(&conv_core(f, g)));
+            let id = CONV_MEMO.get_or_insert_with(key, || intern::intern(&conv_runs(f, g)));
             (*intern::resolve(id)).clone()
         }
     };
@@ -80,11 +89,147 @@ pub fn conv(f: &Curve, g: &Curve) -> Curve {
     out
 }
 
+/// The answers [`conv`] gives before interning: the closed form when
+/// both operands are rate-latency curves, [`running_min`] when one is,
+/// `None` otherwise.
+fn rate_latency_conv(f: &Curve, g: &Curve) -> Option<Curve> {
+    match (shape::rate_latency(f), shape::rate_latency(g)) {
+        (Some((r1, t1)), Some((r2, t2))) => Some(Curve::rate_latency(r1.min(r2), t1 + t2)),
+        (_, Some((r, t))) => Some(running_min(f, r, t)),
+        (Some((r, t)), None) => Some(running_min(g, r, t)),
+        (None, None) => None,
+    }
+}
+
+/// `f ⊗ β_{R,T}` for a nondecreasing `f`, in one walk over its pieces.
+/// `f ⊗ λ_R` is `h(t) = R·t + m(t)` with the running minimum
+/// `m(t) = min_{s≤t} (f(s) − R·s)`, and `⊗ δ_T` shifts the nondecreasing
+/// `h` right by `T`, holding `h(0) = f(0)`. On a piece of slope `σ`,
+/// `f − R·s` has slope `σ − R`: where it sits at its running minimum and
+/// falls, `h` follows `f`; elsewhere `m` is flat and `h` rises at `R`,
+/// until a falling `f − R·s` meets the minimum again.
+fn running_min(f: &Curve, r: Rat, t: Rat) -> Curve {
+    let mut out = CanonicalBuilder::new();
+    if t.is_positive() {
+        out.push(Rat::ZERO, || f.at_zero(), Rat::ZERO);
+    }
+    let mut m = f.at_zero();
+    for Segment {
+        start: x,
+        value: y,
+        slope: s,
+        end,
+    } in f.segments()
+    {
+        let g = y - r * x;
+        if s < r && g <= m {
+            m = g;
+            out.push(x + t, || y, s);
+            continue;
+        }
+        m = m.min(g);
+        out.push(x + t, || r * x + m, r);
+        if s < r {
+            let meet = x + (g - m) / (r - s);
+            if end.is_none_or(|e| meet < e) {
+                out.push(meet + t, || y + s * (meet - x), s);
+            }
+        }
+    }
+    out.finish()
+}
+
+/// One convex curve `Cᵢ` of the cover `f = minᵢ Cᵢ`: `f(a)` held on
+/// `[0, a]`, `f` on the run's pieces from `a` on, then the steepest slope
+/// of `f` from the run's last piece on. So `Cᵢ` is convex, `Cᵢ ≥ f`
+/// (`f` is nondecreasing, and no later piece of `f` is steeper than the
+/// tail), and `Cᵢ = f` on the run.
+struct Run<'a> {
+    /// `a`, where the run starts.
+    start: Rat,
+    /// `f(a) = Cᵢ(0)`.
+    at_zero: Rat,
+    /// The run's pieces of `f`, slopes nondecreasing.
+    pieces: &'a [Segment],
+    /// Slope of `Cᵢ` after the run's last bounded piece.
+    tail: Rat,
+}
+
+impl Run<'_> {
+    /// The bounded pieces of `Cᵢ` as `(length, slope)`, slopes
+    /// nondecreasing: the held `[0, a]`, then the run's bounded pieces.
+    fn pieces(&self) -> impl Iterator<Item = (Rat, Rat)> + '_ {
+        let held = self.start.is_positive().then_some((self.start, Rat::ZERO));
+        held.into_iter().chain(
+            self.pieces
+                .iter()
+                .filter_map(|s| s.end.map(|e| (e - s.start, s.slope))),
+        )
+    }
+}
+
+/// Split `f`'s pieces at its concave kinks (where the slope drops) into
+/// maximal convex runs.
+fn cover(segs: &[Segment], final_slope: Rat) -> Vec<Run<'_>> {
+    let mut runs = Vec::new();
+    let mut steepest = final_slope;
+    for pieces in segs.chunk_by(|a, b| a.slope <= b.slope).rev() {
+        steepest = pieces.iter().fold(steepest, |m, s| m.max(s.slope));
+        if let Some(first) = pieces.first() {
+            runs.push(Run {
+                start: first.start,
+                at_zero: first.value,
+                pieces,
+                tail: steepest,
+            });
+        }
+    }
+    runs
+}
+
+/// `C ⊗ D` for two convex runs: from `C(0) + D(0)`, the bounded pieces
+/// of both in nondecreasing slope order, cut where the slope reaches the
+/// smaller tail, which continues forever.
+fn merge(c: &Run, d: &Run) -> Curve {
+    let tail = c.tail.min(d.tail);
+    let (mut a, mut b) = (c.pieces().peekable(), d.pieces().peekable());
+    let mut out = CanonicalBuilder::new();
+    let (mut x, mut y) = (Rat::ZERO, c.at_zero + d.at_zero);
+    loop {
+        let from_c = match (a.peek(), b.peek()) {
+            (Some(p), Some(q)) => p.1 <= q.1,
+            (p, _) => p.is_some(),
+        };
+        let next = if from_c { a.next() } else { b.next() };
+        match next {
+            Some((len, slope)) if slope < tail => {
+                out.push(x, || y, slope);
+                x += len;
+                y += slope * len;
+            }
+            _ => break,
+        }
+    }
+    out.push(x, || y, tail);
+    out.finish()
+}
+
+/// The general path of [`conv`]: `f ⊗ g = min_{i,j} Cᵢ ⊗ Dⱼ` over the
+/// convex-run covers of both operands, each pair by [`merge`].
+fn conv_runs(f: &Curve, g: &Curve) -> Curve {
+    let (fs, gs): (Vec<Segment>, Vec<Segment>) = (f.segments().collect(), g.segments().collect());
+    let (fc, gc) = (cover(&fs, f.final_slope()), cover(&gs, g.final_slope()));
+    let pairs: Vec<Curve> = fc
+        .iter()
+        .flat_map(|c| gc.iter().map(move |d| merge(c, d)))
+        .collect();
+    Curve::min_all(pairs.iter())
+}
+
 /// The always-general candidate-envelope convolution, bypassing the
-/// shape fast paths and the operation memo. Same precondition as
-/// [`conv`]: both operands nondecreasing (debug-asserted). Bit-identical
-/// to [`conv`] — that is the property the differential tests assert by
-/// calling both.
+/// dispatch and the operation memo. Same precondition as [`conv`]: both
+/// operands nondecreasing (debug-asserted). Bit-identical to [`conv`] —
+/// that is the property the differential tests assert by calling both.
 pub fn conv_envelope(f: &Curve, g: &Curve) -> Curve {
     crate::limits::checkpoint(f.points().len() + g.points().len());
     let _span = dnc_telemetry::span("curve.conv");

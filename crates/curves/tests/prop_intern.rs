@@ -1,5 +1,5 @@
 //! Property tests for the curve kernel: the hash-consing interner, the
-//! shape-specialized closed forms, and the LRU memo table.
+//! convolution and deviation fast paths, and the LRU memo table.
 //!
 //! Three claims, each load-bearing for the kernel's soundness story
 //! (DESIGN.md §18):
@@ -7,13 +7,15 @@
 //! 1. **Interning is semantics-preserving**: `intern` is injective on
 //!    canonical structure, so id equality *is* curve equality and
 //!    `resolve` round-trips bit-identically.
-//! 2. **Fast paths are Rat-exact**: every shape-specialized fast path
-//!    (the closed-form convolutions, the one-pass horizontal deviation)
-//!    agrees exactly — not approximately — with the always-general
-//!    `*_envelope` computation, on random shaped operands, errors
-//!    included. Together with memoization purity this is what makes the
-//!    kernel's answers bit-identical to the general path's (which
-//!    `debug-invariants` also asserts on every call).
+//! 2. **Fast paths are Rat-exact**: every kernel path (the
+//!    rate-latency convolutions, the convex-run decomposition, the
+//!    one-pass horizontal deviation) agrees exactly — not approximately —
+//!    with the always-general `*_envelope` computation, on random
+//!    operands of every shape (convex, concave, neither, `f(0) > 0`, FIFO
+//!    family members), errors included. Together with memoization purity
+//!    this is what makes the kernel's answers bit-identical to the
+//!    general path's (which `debug-invariants` also asserts on every
+//!    call).
 //! 3. **The LRU cache matches a reference model**: contents and
 //!    eviction order track an executable brute-force LRU under random
 //!    op sequences.
@@ -50,7 +52,84 @@ fn arb_convex() -> impl Strategy<Value = Curve> {
     })
 }
 
-/// Exactly the shapes the closed forms specialize on.
+/// Random nondecreasing curve: `f(0)` zero or positive, then one to five
+/// bounded pieces and a tail of free non-negative slopes, so convex,
+/// concave and mixed shapes all occur.
+fn arb_nondecreasing() -> impl Strategy<Value = Curve> {
+    (
+        proptest::bool::ANY,
+        arb_pos(),
+        proptest::collection::vec((arb_pos(), arb_nonneg()), 1..6),
+        arb_nonneg(),
+    )
+        .prop_map(|(lifted, at_zero, pieces, tail)| {
+            let mut pts = vec![(Rat::ZERO, if lifted { at_zero } else { Rat::ZERO })];
+            let (mut x, mut y) = pts[0];
+            for (len, slope) in pieces {
+                x += len;
+                y += slope * len;
+                pts.push((x, y));
+            }
+            Curve::from_points(pts, tail)
+        })
+}
+
+/// A nondecreasing curve that is neither convex nor concave.
+fn arb_mixed() -> impl Strategy<Value = Curve> {
+    arb_nondecreasing().prop_filter("neither convex nor concave", |c| {
+        !c.is_convex() && !c.is_concave()
+    })
+}
+
+/// The member `[C·t − α(t − θ)]⁺` of the FIFO service-curve family, built
+/// as `dnc_core::fifo_family::family_curve` builds it: the indicator
+/// `1_{t > θ}` capped by a steep ramp, monotonized by `future_min`.
+fn family_member(rate: Rat, cross: &Curve, theta: Rat) -> Curve {
+    let base = Curve::rate(rate).sub(&cross.shift_right_hold(theta));
+    let k = (rate + cross.final_slope() + Rat::ONE) * Rat::from(1i64 << 20);
+    base.min(&Curve::rate_latency(k, theta)).pos().future_min()
+}
+
+/// A family member for a random cross aggregate, a link rate above the
+/// aggregate's, and θ = 0 or θ > 0.
+fn arb_family_member() -> impl Strategy<Value = Curve> {
+    (
+        arb_one_pass_alpha(),
+        arb_pos(),
+        proptest::bool::ANY,
+        arb_pos(),
+    )
+        .prop_map(|(cross, excess, at_zero, theta)| {
+            let theta = if at_zero { Rat::ZERO } else { theta };
+            family_member(cross.final_slope() + excess, &cross, theta)
+        })
+}
+
+/// A nondecreasing `f` against `β_{R,T}` with T = 0 or T > 0 and R = 0
+/// (the zero curve), below every slope of `f`, above every slope of `f`,
+/// or free.
+fn arb_rate_latency_pair() -> impl Strategy<Value = (Curve, Curve)> {
+    (
+        arb_nondecreasing(),
+        arb_pos(),
+        arb_nonneg(),
+        proptest::bool::ANY,
+        0u8..4,
+    )
+        .prop_map(|(f, r, t, no_latency, rate_kind)| {
+            let slopes = f.slopes();
+            let r = match rate_kind {
+                0 => Rat::ZERO,
+                1 => slopes.iter().copied().min().unwrap_or(r) / Rat::TWO,
+                2 => slopes.iter().copied().max().unwrap_or(r) + r,
+                _ => r,
+            };
+            let t = if no_latency { Rat::ZERO } else { t };
+            (f, Curve::rate_latency(r, t))
+        })
+}
+
+/// The two named shapes: token buckets and rate-latency curves.
 fn arb_token_bucket() -> impl Strategy<Value = Curve> {
     (arb_nonneg(), arb_nonneg()).prop_map(|(sigma, rho)| Curve::token_bucket(sigma, rho))
 }
@@ -140,8 +219,6 @@ proptest! {
         for c in [&f, &g] {
             let direct = shape::classify(c);
             let memoized = intern::shape_of(intern::intern(c));
-            prop_assert_eq!(direct.as_token_bucket(), memoized.as_token_bucket());
-            prop_assert_eq!(direct.as_rate_latency(), memoized.as_rate_latency());
             prop_assert_eq!(direct.is_concave(), memoized.is_concave());
             prop_assert_eq!(direct.is_convex(), memoized.is_convex());
             prop_assert_eq!(direct.is_nondecreasing(), memoized.is_nondecreasing());
@@ -156,14 +233,39 @@ proptest! {
     }
 
     #[test]
-    fn conv_kernel_is_exact_on_general_pairs(f in arb_concave(), g in arb_convex()) {
-        prop_assert_eq!(minplus::conv(&f, &g), minplus::conv_envelope(&f, &g));
-        prop_assert_eq!(minplus::conv(&g, &f), minplus::conv_envelope(&g, &f));
+    fn conv_kernel_is_exact_on_general_pairs(
+        f in arb_concave(),
+        g in arb_convex(),
+        m in arb_mixed(),
+        n in arb_nondecreasing(),
+    ) {
+        for (a, b) in [(&f, &g), (&f, &f), (&g, &g), (&m, &n), (&m, &f), (&m, &g), (&n, &n)] {
+            prop_assert_eq!(minplus::conv(a, b), minplus::conv_envelope(a, b), "{} ⊗ {}", a, b);
+            prop_assert_eq!(minplus::conv(b, a), minplus::conv_envelope(b, a), "{} ⊗ {}", b, a);
+        }
     }
 
     #[test]
-    fn rl_conv_closed_form_is_exact(f in arb_rate_latency(), g in arb_rate_latency()) {
+    fn conv_kernel_is_exact_on_family_members(
+        a in arb_family_member(),
+        b in arb_family_member(),
+        c in arb_family_member(),
+    ) {
+        let ab = minplus::conv(&a, &b);
+        prop_assert_eq!(&ab, &minplus::conv_envelope(&a, &b), "{} ⊗ {}", a, b);
+        prop_assert_eq!(minplus::conv(&ab, &c), minplus::conv_envelope(&ab, &c), "{} ⊗ {}", ab, c);
+        prop_assert_eq!(minplus::conv(&c, &ab), minplus::conv(&ab, &c));
+    }
+
+    #[test]
+    fn rl_conv_closed_form_is_exact(
+        f in arb_rate_latency(),
+        g in arb_rate_latency(),
+        (h, beta) in arb_rate_latency_pair(),
+    ) {
         prop_assert_eq!(minplus::conv(&f, &g), minplus::conv_envelope(&f, &g));
+        prop_assert_eq!(minplus::conv(&h, &beta), minplus::conv_envelope(&h, &beta), "{} ⊗ {}", h, beta);
+        prop_assert_eq!(minplus::conv(&beta, &h), minplus::conv_envelope(&beta, &h), "{} ⊗ {}", beta, h);
     }
 
     #[test]
