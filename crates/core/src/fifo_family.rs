@@ -137,55 +137,42 @@ impl DelayAnalysis for FifoFamily {
         let order = net.topological_order()?;
 
         // Decomposed-style propagation for cross-traffic characterization
-        // (identical to Algorithm Service Curve's first pass) plus the
-        // local delay at each server as the θ scale.
+        // (identical to Algorithm Service Curve's first pass), keeping per
+        // server the local delay as the θ scale and, where several flows
+        // share it, the aggregate `G_s`.
         let mut prop = Propagation::new(net, self.cap);
-        let mut hop_curves: Vec<Vec<Curve>> = net
-            .flows()
-            .iter()
-            .map(|f| Vec::with_capacity(f.route.len()))
-            .collect();
-        let mut local_delay: Vec<Rat> = vec![Rat::ZERO; net.servers().len()];
+        let mut at_server: Vec<(Rat, Option<Curve>)> = vec![(Rat::ZERO, None); net.servers().len()];
         for server in &order {
             let incident = net.flows_through(*server);
             if incident.is_empty() {
                 continue;
             }
-            let curves: Vec<_> = incident
-                .iter()
-                .map(|&f| prop.curve_at(f, *server).clone())
-                .collect();
-            let g = fifo::aggregate_curve(curves.iter());
+            let g = fifo::aggregate_curve(incident.iter().map(|&f| prop.curve_at(f, *server)));
             let d = fifo::local_delay(&g, net.server(*server).rate, *server)?;
-            local_delay[server.0] = d; // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
-            for (&f, c) in incident.iter().zip(curves.iter()) {
-                hop_curves[f.0].push(c.clone()); // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
+            for &f in &incident {
                 prop.advance(f, *server, d);
+            }
+            if let Some(slot) = at_server.get_mut(server.0) {
+                *slot = (d, (incident.len() > 1).then_some(g));
             }
         }
 
         let mut flows_out = Vec::with_capacity(net.flows().len());
         for (i, f) in net.flows().iter().enumerate() {
             let id = FlowId(i);
-            let alpha = f.spec.arrival_curve();
+            let entry = f.route[0]; // audit: allow(index, routes are non-empty: Network::add_flow rejects an empty one)
+            let alpha = prop.curve_at(id, entry);
 
-            // Per hop: the link rate, the cross aggregate (`None` when the
-            // flow is alone there) and the θ scale.
+            // Per hop: the link rate, the cross aggregate `G_s − c_f`
+            // (`None` when the flow is alone there) and the θ scale.
             let hops: Vec<(Rat, Option<Curve>, Rat)> = f
                 .route
                 .iter()
                 .map(|&server| {
-                    let cs: Vec<Curve> = net
-                        .flows_through(server)
-                        .into_iter()
-                        .filter(|&g| g != id)
-                        .map(|g| {
-                            let h = net.hop_index(g, server).expect("cross flow on server"); // audit: allow(expect, g is a cross flow at server, so hop_index is Some)
-                            hop_curves[g.0][h].clone() // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
-                        })
-                        .collect();
-                    let cross = (!cs.is_empty()).then(|| fifo::aggregate_curve(cs.iter()));
-                    let scale = local_delay[server.0]; // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
+                    let (scale, aggregate) = at_server
+                        .get(server.0)
+                        .map_or((Rat::ZERO, None), |(d, g)| (*d, g.as_ref()));
+                    let cross = aggregate.map(|g| g.sub(prop.curve_at(id, server)));
                     (net.server(server).rate, cross, scale)
                 })
                 .collect();
@@ -205,8 +192,7 @@ impl DelayAnalysis for FifoFamily {
                 })
                 .collect();
             let delay = |beta: &Curve| {
-                // audit: allow(index, per-server/per-flow tables sized to the network; indices are ServerId/FlowId/hop_index of it)
-                bounds::hdev_general(&alpha, beta).map_err(|e| AnalysisError::at(f.route[0], e))
+                bounds::hdev_general(alpha, beta).map_err(|e| AnalysisError::at(entry, e))
             };
             let mut best = delay(&minplus::conv_all(members.iter()))?;
             for _ in 0..self.passes {

@@ -24,6 +24,14 @@
 //! same way the decomposed analysis characterizes them (local FIFO
 //! delays plus the Cruz output shift) — the information a deployed
 //! admission controller would actually have.
+//!
+//! The cross aggregate at a server differs between its flows only by each
+//! flow's own curve `c_f`. So the first pass, which already sums every
+//! FIFO server's aggregate `G_s` for the local delay, keeps the slack
+//! `λ_C − G_s` wherever several flows share the server, and flow `f`'s
+//! residual there is `[(λ_C − G_s) + c_f]⁺`. Exact `Rat` arithmetic and
+//! unique canonical curves make that the same curve, bit for bit, as
+//! `[λ_C − Σ_{g≠f} c_g]⁺` (DESIGN §18.7).
 
 use crate::propagate::Propagation;
 use crate::{fifo, AnalysisError, AnalysisReport, DelayAnalysis, FlowReport, OutputCap};
@@ -67,93 +75,67 @@ impl DelayAnalysis for ServiceCurve {
         let order = net.topological_order()?;
 
         // First pass: decomposed-style propagation to obtain every flow's
-        // constraint at every hop (needed to characterize cross traffic).
+        // constraint at every hop (needed to characterize cross traffic),
+        // and at each FIFO server several flows share, the slack
+        // `λ_C − G_s` its aggregate `G_s` leaves.
         let mut prop = Propagation::new(net, self.cap);
-        let mut hop_curves: Vec<Vec<Curve>> = net
-            .flows()
-            .iter()
-            .map(|f| Vec::with_capacity(f.route.len()))
-            .collect();
+        let mut slack: Vec<Option<Curve>> = vec![None; net.servers().len()];
         for server in &order {
             let incident = net.flows_through(*server);
             if incident.is_empty() {
                 continue;
             }
-            let curves: Vec<_> = incident
-                .iter()
-                .map(|&f| prop.curve_at(f, *server).clone())
-                .collect();
             match net.server(*server).discipline {
                 Discipline::Gps => {
-                    let with_ids: Vec<_> = incident
+                    let curves: Vec<_> = incident
                         .iter()
-                        .zip(curves.iter())
-                        .map(|(&f, c)| (f, c.clone()))
+                        .map(|&f| (f, prop.curve_at(f, *server).clone()))
                         .collect();
-                    for ((f, d), c) in crate::gps::local_delays(net, *server, &with_ids)?
-                        .into_iter()
-                        .zip(curves.iter())
-                    {
-                        hop_curves[f.0].push(c.clone()); // audit: allow(index, hop_curves sized to the flow count; indices are FlowId/hop_index of the same network)
+                    for (f, d) in crate::gps::local_delays(net, *server, &curves)? {
                         prop.advance(f, *server, d);
                     }
                 }
                 _ => {
-                    let g = fifo::aggregate_curve(curves.iter());
-                    let d = fifo::local_delay(&g, net.server(*server).rate, *server)?;
-                    for (&f, c) in incident.iter().zip(curves.iter()) {
-                        hop_curves[f.0].push(c.clone()); // audit: allow(index, hop_curves sized to the flow count; indices are FlowId/hop_index of the same network)
+                    let rate = net.server(*server).rate;
+                    let g =
+                        fifo::aggregate_curve(incident.iter().map(|&f| prop.curve_at(f, *server)));
+                    let d = fifo::local_delay(&g, rate, *server)?;
+                    for &f in &incident {
                         prop.advance(f, *server, d);
+                    }
+                    if let Some(slot) = slack.get_mut(server.0) {
+                        *slot = (incident.len() > 1).then(|| Curve::rate(rate).sub(&g));
                     }
                 }
             }
         }
-        // hop_curves[f] is ordered by the topological visit, which may not
-        // match the route order; rebuild per-route indexing.
-        // (Topological order visits each server once; a flow's hops appear
-        // in route order because the route is a path in the DAG.)
 
         let mut flows_out = Vec::with_capacity(net.flows().len());
         for (i, f) in net.flows().iter().enumerate() {
             let id = FlowId(i);
             // Per-server residual curve for this flow.
-            let mut betas: Vec<Curve> = Vec::with_capacity(f.route.len());
-            for (hop, &server) in f.route.iter().enumerate() {
-                let rate = net.server(server).rate;
-                if net.server(server).discipline == Discipline::Gps {
-                    // Guaranteed-rate server: the per-flow curve is part
-                    // of the discipline's contract — exactly the setting
-                    // the service-curve model was made for.
-                    betas.push(crate::gps::service_curve(net, id, server));
-                    continue;
-                }
-                let cross_ids: Vec<FlowId> = net
-                    .flows_through(server)
-                    .into_iter()
-                    .filter(|&g| g != id)
-                    .collect();
-                let beta = if cross_ids.is_empty() {
-                    Curve::rate(rate)
-                } else {
-                    let cross: Vec<Curve> = cross_ids
-                        .iter()
-                        .map(|&g| {
-                            let h = net
-                                .hop_index(g, server)
-                                .expect("cross flow traverses server"); // audit: allow(expect, g is a cross flow at server, so hop_index is Some)
-                            hop_curves[g.0][h].clone() // audit: allow(index, hop_curves sized to the flow count; indices are FlowId/hop_index of the same network)
-                        })
-                        .collect();
-                    let alpha_cross = fifo::aggregate_curve(cross.iter());
-                    Curve::rate(rate).sub(&alpha_cross).pos()
-                };
-                let _ = hop;
-                betas.push(beta);
-            }
+            let betas: Vec<Curve> = f
+                .route
+                .iter()
+                .map(|&server| {
+                    if net.server(server).discipline == Discipline::Gps {
+                        // Guaranteed-rate server: the per-flow curve is part
+                        // of the discipline's contract — exactly the setting
+                        // the service-curve model was made for.
+                        return crate::gps::service_curve(net, id, server);
+                    }
+                    match slack.get(server.0).and_then(Option::as_ref) {
+                        // `λ_C − Σ_{g≠f} c_g = (λ_C − G_s) + c_f`.
+                        Some(slack) => slack.add(prop.curve_at(id, server)).pos(),
+                        // Alone at the server: the whole link.
+                        None => Curve::rate(net.server(server).rate),
+                    }
+                })
+                .collect();
             let beta_net = minplus::conv_all(betas.iter());
-            let alpha = f.spec.arrival_curve();
-            let e2e =
-                bounds::hdev(&alpha, &beta_net).map_err(|e| AnalysisError::at(f.route[0], e))?; // audit: allow(index, hop_curves sized to the flow count; indices are FlowId/hop_index of the same network)
+            let entry = f.route[0]; // audit: allow(index, routes are non-empty: Network::add_flow rejects an empty one)
+            let e2e = bounds::hdev(prop.curve_at(id, entry), &beta_net)
+                .map_err(|e| AnalysisError::at(entry, e))?;
             flows_out.push(FlowReport {
                 flow: id,
                 name: f.name.clone(),
@@ -170,9 +152,11 @@ impl DelayAnalysis for ServiceCurve {
 }
 
 /// The residual service curve a single FIFO server induces for one
-/// connection against the given (nondecreasing) cross-traffic constraint —
-/// exposed for tests and for the benches' closed-form comparisons. The
-/// `[·]⁺` clamp keeps the result nondecreasing for concave cross traffic.
+/// connection against the given (nondecreasing) cross-traffic constraint.
+/// The analysis forms the same curve from the server's slack instead; this
+/// direct form is the oracle the FIFO-family tests compare the θ = 0
+/// member against. The `[·]⁺` clamp keeps the result nondecreasing for
+/// concave cross traffic.
 pub fn residual_curve(rate: Rat, alpha_cross: &Curve) -> Curve {
     Curve::rate(rate).sub(alpha_cross).pos()
 }

@@ -505,8 +505,37 @@ impl Curve {
 
     /// The positive part `max(f, 0)` — preserves convexity and the
     /// nondecreasing property (concavity is generally lost at the clamp).
+    ///
+    /// One walk over the curve's own pieces: a piece starting at `(x, y)`
+    /// with slope `s` is kept where it is ≥ 0 (`y > 0`, or `y = 0` and
+    /// `s > 0`) and replaced by zero elsewhere. Its sign changes inside it
+    /// only where `y` and `s` have opposite signs, at `x − y/s`, when that
+    /// lies before the piece's end (always, on the tail).
     pub fn pos(&self) -> Curve {
-        self.max(&Curve::zero())
+        let mut out = CanonicalBuilder::new();
+        for Segment {
+            start: x,
+            value: y,
+            slope: s,
+            end,
+        } in self.segments()
+        {
+            let kept = y.is_positive() || (y.is_zero() && s.is_positive());
+            if kept {
+                out.push(x, || y, s);
+            } else {
+                out.push(x, || Rat::ZERO, Rat::ZERO);
+            }
+            if y.signum() * s.signum() < 0 {
+                let cross = x - y / s;
+                if end.is_none_or(|e| cross < e) {
+                    out.push(cross, || Rat::ZERO, if kept { Rat::ZERO } else { s });
+                }
+            }
+        }
+        let out = out.finish();
+        crate::invariant::same_as_general("pos", &out, || self.max(&Curve::zero()));
+        out
     }
 
     /// The largest value the curve ever attains, or `None` if unbounded
@@ -850,6 +879,49 @@ mod tests {
         assert_eq!(m.eval(int(1)), int(2)); // future min after t=1 is 2
         assert_eq!(m.eval(int(3)), int(3)); // future min after t=3 is 3
         assert_eq!(m.eval(int(5)), int(4));
+    }
+
+    #[test]
+    fn pos_walk_cases() {
+        let c = |pts: &[(i128, i128)], slope: Rat| {
+            Curve::from_points(pts.iter().map(|&(x, y)| (int(x), int(y))).collect(), slope)
+        };
+        let cases = [
+            // |t − 2| touches zero at t = 2 without crossing: kept whole.
+            (c(&[(0, 2), (2, 0)], int(1)), c(&[(0, 2), (2, 0)], int(1))),
+            // A rise to zero, a zero-valued flat piece, a dip below and a
+            // rise through zero: one zero stretch up to the crossing.
+            (
+                c(&[(0, -2), (2, 0), (4, 0), (5, -1)], int(1)),
+                Curve::rate_latency(int(1), int(6)),
+            ),
+            // Crossings inside pieces, upwards then downwards.
+            (
+                c(&[(0, -2), (4, 2), (8, -2)], int(0)),
+                c(&[(0, 0), (2, 0), (4, 2), (6, 0)], int(0)),
+            ),
+            // Tail crossings, upwards and downwards.
+            (
+                Curve::affine(int(-4), int(1)),
+                Curve::rate_latency(int(1), int(4)),
+            ),
+            (
+                c(&[(0, 1), (2, 3)], int(-1)),
+                c(&[(0, 1), (2, 3), (5, 0)], int(0)),
+            ),
+            // f(0) = 0 with a falling first piece.
+            (
+                c(&[(0, 0), (2, -2)], int(1)),
+                Curve::rate_latency(int(1), int(4)),
+            ),
+            // All negative: the zero curve.
+            (c(&[(0, -1), (2, -3)], int(-1)), Curve::zero()),
+            (c(&[(0, 0)], int(-1)), Curve::zero()),
+        ];
+        for (f, want) in cases {
+            assert_eq!(f.pos(), want, "pos of {f}");
+            assert_eq!(f.pos(), f.max(&Curve::zero()), "pos of {f} against max");
+        }
     }
 
     #[test]

@@ -363,6 +363,9 @@ proptest! {
         check_pointwise(&f, &g, &f.max(&g), Rat::max, fs.max(gs))?;
         check_pointwise(&f, &g, &f.add(&g), |a, b| a + b, fs + gs)?;
         check_pointwise(&f, &g, &f.sub(&g), |a, b| a - b, fs - gs)?;
+        let zero = Curve::zero();
+        check_pointwise(&f, &zero, &f.pos(), Rat::max, fs.max(Rat::ZERO))?;
+        prop_assert_eq!(f.pos(), f.max(&zero));
     }
 }
 
